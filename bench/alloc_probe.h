@@ -1,7 +1,9 @@
-// Allocation probe for the micro benches: replaces the global operator
-// new/delete pair with counting wrappers so a benchmark can report
-// allocations-per-iteration alongside wall time. Include from exactly one
-// translation unit per binary (each micro bench is a single TU).
+// Allocation probe for the micro benches: alloc_probe.cpp replaces the
+// global operator new/delete pair with counting wrappers so a benchmark
+// can report allocations-per-iteration alongside wall time. Link
+// alloc_probe.cpp into every binary that includes this header. The
+// replacements live in their own translation unit so no caller inlines a
+// new/delete pair down to malloc/free.
 //
 // The probe counts every heap allocation in the process, including
 // google-benchmark's own bookkeeping, so measure deltas around the timed
@@ -10,22 +12,12 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "obs/metrics.h"
 
 namespace bench_alloc {
 
-inline std::atomic<unsigned long long>& allocation_count() {
-  static std::atomic<unsigned long long> count{0};
-  return count;
-}
-
-inline unsigned long long allocations() {
-  return allocation_count().load(std::memory_order_relaxed);
-}
+/// Heap allocations made by the process so far.
+unsigned long long allocations();
 
 /// Snapshot-and-report helper: construct before the timed loop, call
 /// finish() after it to attach allocations-per-iteration and workspace
@@ -53,29 +45,3 @@ struct PoolProbe {
 };
 
 }  // namespace bench_alloc
-
-void* operator new(std::size_t size) {
-  bench_alloc::allocation_count().fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  bench_alloc::allocation_count().fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}

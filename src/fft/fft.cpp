@@ -12,6 +12,14 @@
 #include "runtime/workspace.h"
 
 namespace ldmo::fft {
+namespace {
+
+// Columns moved through pooled scratch together by the column stages, so
+// the row-major walk touches each grid cache line once per block instead
+// of once per column. The per-column butterflies are unchanged.
+constexpr int kColBlock = 8;
+
+}  // namespace
 
 int next_pow2(int n) {
   require(n >= 1, "next_pow2: n must be >= 1");
@@ -21,6 +29,32 @@ int next_pow2(int n) {
 }
 
 bool is_pow2(int n) { return n >= 1 && (n & (n - 1)) == 0; }
+
+BandAxis::BandAxis(int n, int band) {
+  require(n >= 1 && band >= 0, "BandAxis: bad axis length or band");
+  if (band >= n / 2) {  // 2*band+1 >= n: every bin is in band
+    size = n;
+    low = n;
+    shift = 0;
+  } else {
+    size = 2 * band + 1;
+    low = band + 1;
+    shift = n - size;
+  }
+}
+
+int band_half_width(const GridC& spectrum) {
+  const int h = spectrum.height();
+  const int w = spectrum.width();
+  int band = 0;
+  for (int y = 0; y < h; ++y) {
+    const int ky = std::min(y, h - y);
+    for (int x = 0; x < w; ++x)
+      if (spectrum.at(y, x) != Complex(0.0, 0.0))
+        band = std::max(band, std::max(ky, std::min(x, w - x)));
+  }
+  return band;
+}
 
 FftPlan::FftPlan(int size) : size_(size) {
   require(is_pow2(size), "FftPlan: size must be a power of two");
@@ -108,11 +142,8 @@ void Fft2DPlan::transform_cols(Complex* data, bool inverse) const {
 
 void Fft2DPlan::transform_cols_range(Complex* data, int x_begin, int x_end,
                                      bool inverse) const {
-  // Blocked gather/scatter: kColBlock columns move through pooled scratch
-  // together, so the row-major walk touches each grid cache line once per
-  // block instead of once per column. The per-column butterflies are
-  // unchanged, so results are bit-identical to the single-column walk.
-  constexpr int kColBlock = 8;
+  // Blocked gather/scatter (kColBlock): bit-identical to the
+  // single-column walk.
   runtime::PooledVector<Complex> scratch =
       runtime::Workspace::this_thread().vec_c128_uninit(
           static_cast<std::size_t>(height_) * kColBlock);
@@ -225,16 +256,164 @@ void Fft2DPlan::forward_real(const double* src, Complex* out) const {
   }
 }
 
-void Fft2DPlan::convolve_spectrum(const GridC& spectrum,
-                                  const GridC& kernel_freq,
-                                  GridC& out) const {
-  require(spectrum.height() == height_ && spectrum.width() == width_ &&
-              spectrum.same_shape(kernel_freq),
-          "convolve_spectrum: shape mismatch");
-  out.resize(height_, width_);  // reuses out's storage when it fits
-  kernels::table().cmul_to_f64(spectrum.data(), kernel_freq.data(),
-                               out.data(), spectrum.size());
-  inverse(out);
+void Fft2DPlan::gather_band(const Complex* grid, Complex* box,
+                            int band) const {
+  const BandAxis rows(height_, band);
+  const BandAxis cols(width_, band);
+  for (int r = 0; r < rows.size; ++r) {
+    const Complex* row =
+        grid + static_cast<std::size_t>(rows.bin(r)) * width_;
+    Complex* out = box + static_cast<std::size_t>(r) * cols.size;
+    for (int j = 0; j < cols.size; ++j) out[j] = row[cols.bin(j)];
+  }
+}
+
+void Fft2DPlan::forward_band(Complex* data, Complex* box, int band) const {
+  transform_rows(data, false);
+  // Column stage on the in-band columns only, gathered in blocks; each
+  // column's in-band rows land in the box.
+  const BandAxis rows(height_, band);
+  const BandAxis cols(width_, band);
+  runtime::PooledVector<Complex> scratch =
+      runtime::Workspace::this_thread().vec_c128_uninit(
+          static_cast<std::size_t>(height_) * kColBlock);
+  Complex* buf = scratch.data();
+  for (int j0 = 0; j0 < cols.size; j0 += kColBlock) {
+    const int block = std::min(kColBlock, cols.size - j0);
+    for (int y = 0; y < height_; ++y) {
+      const Complex* row = data + static_cast<std::size_t>(y) * width_;
+      for (int b = 0; b < block; ++b)
+        buf[static_cast<std::size_t>(b) * height_ + y] =
+            row[cols.bin(j0 + b)];
+    }
+    for (int b = 0; b < block; ++b)
+      col_plan_.forward(buf + static_cast<std::size_t>(b) * height_);
+    for (int r = 0; r < rows.size; ++r) {
+      Complex* out = box + static_cast<std::size_t>(r) * cols.size + j0;
+      for (int b = 0; b < block; ++b)
+        out[b] = buf[static_cast<std::size_t>(b) * height_ + rows.bin(r)];
+    }
+  }
+}
+
+void Fft2DPlan::forward_real_band(const double* src, Complex* box,
+                                  int band) const {
+  runtime::Workspace& ws = runtime::Workspace::this_thread();
+  const std::size_t h = static_cast<std::size_t>(height_);
+  const int w = width_;
+  if (height_ < 2) {
+    // Degenerate single-row grid: no pairing possible (as forward_real).
+    runtime::PooledVector<Complex> grid =
+        ws.vec_c128_uninit(h * static_cast<std::size_t>(w));
+    for (std::size_t i = 0; i < grid.size(); ++i)
+      grid.data()[i] = Complex(src[i], 0.0);
+    forward_band(grid.data(), box, band);
+    return;
+  }
+  const BandAxis rows(height_, band);
+  const BandAxis cols(width_, band);
+  // Columns [0, last] are transformed, exactly as forward_real transforms
+  // [0, W/2]; the box's remaining columns come from the Hermitian mirror.
+  const int half_w = w / 2;
+  const int last = cols.size == w ? half_w : band;
+  runtime::PooledVector<Complex> row = ws.vec_c128_uninit(
+      static_cast<std::size_t>(w));
+  runtime::PooledVector<Complex> half =
+      ws.vec_c128_uninit(h * static_cast<std::size_t>(last + 1));
+  Complex* z = row.data();
+  Complex* col = half.data();  // column-major: column u at col + u*h
+  // Row stage: the row pair (y, y+1) packed as re + i*im, one FFT, then
+  // split with forward_real's arithmetic — but only for columns [0, last].
+  for (int y = 0; y < height_; y += 2) {
+    const double* r0 = src + static_cast<std::size_t>(y) * w;
+    const double* r1 = r0 + w;
+    for (int x = 0; x < w; ++x) z[x] = Complex(r0[x], r1[x]);
+    row_plan_.forward(z);
+    for (int u = 0; u <= last; ++u) {
+      Complex* a = col + static_cast<std::size_t>(u) * h + y;
+      const Complex zu = z[u];
+      if (u == 0 || u == half_w) {  // self-conjugate bins
+        a[0] = Complex(zu.real(), 0.0);
+        a[1] = Complex(zu.imag(), 0.0);
+      } else {
+        const Complex zv = z[w - u];
+        a[0] = Complex(0.5 * (zu.real() + zv.real()),
+                       0.5 * (zu.imag() - zv.imag()));
+        a[1] = Complex(0.5 * (zu.imag() + zv.imag()),
+                       0.5 * (zv.real() - zu.real()));
+      }
+    }
+  }
+  for (int u = 0; u <= last; ++u)
+    col_plan_.forward(col + static_cast<std::size_t>(u) * h);
+  // Box assembly; column W-u mirrors column u:
+  // F(v, W-u) = conj(F((H-v) mod H, u)).
+  for (int r = 0; r < rows.size; ++r) {
+    const int y = rows.bin(r);
+    const std::size_t y_mirror = static_cast<std::size_t>((height_ - y) %
+                                                          height_);
+    Complex* out = box + static_cast<std::size_t>(r) * cols.size;
+    for (int j = 0; j < cols.size; ++j) {
+      const int x = cols.bin(j);
+      out[j] = x <= last
+                   ? col[static_cast<std::size_t>(x) * h +
+                         static_cast<std::size_t>(y)]
+                   : std::conj(col[static_cast<std::size_t>(w - x) * h +
+                                   y_mirror]);
+    }
+  }
+}
+
+void Fft2DPlan::inverse_band(const Complex* box, Complex* out,
+                             int band) const {
+  runtime::Workspace& ws = runtime::Workspace::this_thread();
+  const BandAxis rows(height_, band);
+  runtime::PooledVector<Complex> band_rows = ws.vec_c128_uninit(
+      static_cast<std::size_t>(rows.size) * static_cast<std::size_t>(width_));
+  inverse_band_rows(box, band_rows.data(), band);
+  runtime::PooledVector<Complex> scratch =
+      ws.vec_c128_uninit(static_cast<std::size_t>(height_) * kColBlock);
+  Complex* buf = scratch.data();
+  for (int x0 = 0; x0 < width_; x0 += kColBlock) {
+    const int block = std::min(kColBlock, width_ - x0);
+    inverse_band_cols(band_rows.data(), x0, x0 + block, buf, band);
+    for (int y = 0; y < height_; ++y) {
+      Complex* row = out + static_cast<std::size_t>(y) * width_ + x0;
+      for (int b = 0; b < block; ++b)
+        row[b] = buf[static_cast<std::size_t>(b) * height_ + y];
+    }
+  }
+}
+
+void Fft2DPlan::inverse_band_rows(const Complex* box, Complex* rows,
+                                  int band) const {
+  const BandAxis ry(height_, band);
+  const BandAxis cx(width_, band);
+  const Complex zero(0.0, 0.0);
+  for (int r = 0; r < ry.size; ++r) {
+    const Complex* in = box + static_cast<std::size_t>(r) * cx.size;
+    Complex* row = rows + static_cast<std::size_t>(r) * width_;
+    // In-band bins at their positions, zeros between them.
+    std::copy(in, in + cx.low, row);
+    std::fill(row + cx.low, row + cx.low + cx.shift, zero);
+    std::copy(in + cx.low, in + cx.size, row + cx.low + cx.shift);
+    row_plan_.inverse(row);
+  }
+}
+
+void Fft2DPlan::inverse_band_cols(const Complex* rows, int x_begin,
+                                  int x_end, Complex* cols,
+                                  int band) const {
+  const BandAxis ry(height_, band);
+  const Complex zero(0.0, 0.0);
+  for (int x = x_begin; x < x_end; ++x) {
+    Complex* col = cols + static_cast<std::size_t>(x - x_begin) * height_;
+    // Rows outside the band never held anything but zeros.
+    for (int r = 0; r < ry.size; ++r)
+      col[ry.bin(r)] = rows[static_cast<std::size_t>(r) * width_ + x];
+    std::fill(col + ry.low, col + ry.low + ry.shift, zero);
+    col_plan_.inverse(col);
+  }
 }
 
 const Fft2DPlan& plan_for(int height, int width) {

@@ -5,7 +5,9 @@
 // again with flipped kernels; all of them run through this module as
 // frequency-domain products. Plans precompute bit-reversal tables and
 // twiddle factors once per size, since the same 2-D shape is transformed
-// thousands of times per ILT run.
+// thousands of times per ILT run. The SOCS kernels are band-limited, so
+// the imaging paths use the band transforms below, which run only the 1-D
+// passes that touch the kernels' frequency support.
 #pragma once
 
 #include <complex>
@@ -23,6 +25,25 @@ int next_pow2(int n);
 
 /// True if n is a power of two (n >= 1).
 bool is_pow2(int n);
+
+/// The in-band bins of one transform axis of length `n` for a band
+/// half-width `band` >= 0: bins 0..band, then n-band..n-1 — every signed
+/// frequency |k| <= band, in FFT order. Once 2*band+1 >= n the band is
+/// clipped to the axis and covers every bin. Band-packed data lists the
+/// in-band bins of an axis contiguously in this order.
+struct BandAxis {
+  BandAxis(int n, int band);
+
+  int size;   ///< number of in-band bins
+  int low;    ///< packed index i < low is bin i
+  int shift;  ///< packed index i >= low is bin i + shift
+
+  int bin(int i) const { return i < low ? i : i + shift; }
+};
+
+/// Smallest band half-width b such that every nonzero bin of `spectrum`
+/// lies at |kx| <= b and |ky| <= b (0 for an all-zero spectrum).
+int band_half_width(const GridC& spectrum);
 
 /// Precomputed plan for 1-D transforms of a fixed power-of-two size.
 class FftPlan {
@@ -83,12 +104,42 @@ class Fft2DPlan {
   void forward_real(const GridF& src, GridC& out) const;
   void forward_real(const double* src, Complex* out) const;
 
-  /// Frequency-domain convolution into a caller buffer:
-  /// out = IFFT(spectrum .* kernel_freq). `out` is reshaped if needed and
-  /// fully overwritten — at steady state (same shape every call) this
-  /// performs no allocation. `out` must not alias either input.
-  void convolve_spectrum(const GridC& spectrum, const GridC& kernel_freq,
-                         GridC& out) const;
+  // ---- Band-limited transforms ----
+  // The band box of an H x W spectrum for half-width b holds its in-band
+  // bins: BandAxis(H, b).size rows by BandAxis(W, b).size columns,
+  // row-major, each axis in BandAxis order. These transforms run only the
+  // 1-D passes that touch the box, in the full transforms' row-then-column
+  // order. A skipped pass either transforms exact zeros or makes bins
+  // outside the box, and a kept pass sees the same operands as in the full
+  // transform. So every box bin of a forward, and every output element of
+  // an inverse, equals the full transform's: bit for bit, except that an
+  // exact zero may differ in sign.
+
+  /// Packs the in-band bins of a full H x W spectrum into `box`.
+  void gather_band(const Complex* grid, Complex* box, int band) const;
+
+  /// Band box of forward(data): transforms every row of `data` in place,
+  /// then only the in-band columns. `data` keeps its row transforms.
+  void forward_band(Complex* data, Complex* box, int band) const;
+
+  /// Band box of forward_real(src): the Hermitian column stage covers
+  /// only columns 0..band, and the mirror supplies columns W-band..W-1.
+  void forward_real_band(const double* src, Complex* box, int band) const;
+
+  /// 2-D inverse DFT of a spectrum that is zero outside the band box:
+  /// inverse-transforms only the in-band rows, then every column. `out`
+  /// (H x W, row-major) is fully overwritten.
+  void inverse_band(const Complex* box, Complex* out, int band) const;
+
+  /// The two stages of inverse_band, for callers that consume the result
+  /// a block of columns at a time. inverse_band_rows writes the in-band
+  /// rows' inverse transforms to `rows` (BandAxis(H, band).size x W,
+  /// row-major); inverse_band_cols then inverse-transforms the columns
+  /// [x_begin, x_end) of the spectrum those rows hold into `cols`,
+  /// column-major with height() entries per column.
+  void inverse_band_rows(const Complex* box, Complex* rows, int band) const;
+  void inverse_band_cols(const Complex* rows, int x_begin, int x_end,
+                         Complex* cols, int band) const;
 
  private:
   void transform_rows(Complex* data, bool inverse) const;

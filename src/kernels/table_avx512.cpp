@@ -388,7 +388,10 @@ double max_abs_f64(const double* x, std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8)
     acc = _mm512_max_pd(acc, _mm512_abs_pd(_mm512_loadu_pd(x + i)));
-  double m = _mm512_reduce_max_pd(acc);
+  alignas(64) double lanes[8];
+  _mm512_store_pd(lanes, acc);
+  double m = lanes[0];
+  for (int l = 1; l < 8; ++l) m = std::max(m, lanes[l]);
   for (; i < n; ++i) m = std::max(m, std::abs(x[i]));
   return m;
 }

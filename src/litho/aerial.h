@@ -1,12 +1,16 @@
 // Aerial image computation: mask -> intensity via the SOCS expansion.
 //
 // The simulator shares the process-wide FFT plan for its grid size and
-// draws all transient scratch (mask spectrum, per-kernel field/spectrum
-// stacks) from the calling thread's Workspace, so repeated calls — every
-// ILT iteration, every candidate evaluation — allocate nothing at steady
-// state. The per-kernel complex fields E_k = M conv h_k can be retained
-// in caller-owned AerialFields storage for the ILT gradient, which reuses
-// them to avoid recomputing the forward pass.
+// works on the kernels' band box (SocsKernels::band): mask spectra, kernel
+// products and the adjoint's spectral sum live on the (2b+1)^2 in-band
+// bins only, and the band-limited transforms skip every FFT pass that
+// could only touch bins outside it. Outputs match the full-grid
+// arithmetic bit for bit (DESIGN.md, "Band-limited imaging"). All
+// transient scratch comes from the calling thread's Workspace, so repeated
+// calls — every ILT iteration, every candidate evaluation — allocate
+// nothing at steady state. The per-kernel complex fields E_k = M conv h_k
+// can be retained in caller-owned AerialFields storage for the ILT
+// gradient, which reuses them to avoid recomputing the forward pass.
 #pragma once
 
 #include <vector>
@@ -30,7 +34,8 @@ struct AerialFields {
 class AerialSimulator {
  public:
   /// Keeps a reference to `kernels`; the caller must keep them alive
-  /// (cached_kernels() returns process-lifetime storage).
+  /// (cached_kernels() returns process-lifetime storage). Their band must
+  /// be recorded (build_socs_kernels does).
   explicit AerialSimulator(const SocsKernels& kernels);
 
   const SocsKernels& kernels() const { return kernels_; }
@@ -62,8 +67,17 @@ class AerialSimulator {
                      GridF& grad_out) const;
 
  private:
+  /// Shared forward pass: fills `intensity`, and the per-kernel fields
+  /// when `fields` is non-null.
+  void forward(const GridF& mask, std::vector<fft::GridC>* fields,
+               GridF& intensity) const;
+
   const SocsKernels& kernels_;
   const fft::Fft2DPlan& plan_;  ///< process-lifetime plan from plan_for()
+  int band_;                    ///< kernels_.band
+  std::size_t box_;             ///< complex values per band box
+  /// Band boxes of the kernel spectra, box_ values per kernel.
+  std::vector<fft::Complex> kernel_boxes_;
 };
 
 }  // namespace ldmo::litho

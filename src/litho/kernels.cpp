@@ -1,5 +1,6 @@
 #include "litho/kernels.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -87,6 +88,9 @@ SocsKernels decompose(const LithoConfig& config) {
     for (double w : kernels.weights) captured += w;
   }
   kernels.captured_energy = trace > 0.0 ? captured / trace : 1.0;
+  kernels.band = 0;
+  for (const fft::GridC& freq : kernels.kernel_ffts)
+    kernels.band = std::max(kernels.band, fft::band_half_width(freq));
   return kernels;
 }
 

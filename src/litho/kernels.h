@@ -4,8 +4,11 @@
 // is approximated by the rank-K expansion
 //     I(x) = sum_k w_k |(M conv h_k)(x)|^2
 // where (w_k, h_k) are the leading TCC eigenpairs. Kernels are stored as
-// frequency-domain grids on the simulation FFT lattice, so one mask FFT
-// plus K inverse FFTs evaluate the full forward model.
+// frequency-domain grids on the simulation FFT lattice. Every spectrum is
+// zero outside the TCC support |f| <= (1 + sigma_out) NA / lambda, the
+// band |kx|, |ky| <= b recorded below, so one band-limited real mask FFT
+// plus K band-limited inverse FFTs evaluate the full forward model
+// (DESIGN.md, "Band-limited imaging").
 //
 // Calibration: weights are rescaled once so a large feature's edge intensity
 // equals the resist threshold I_th — then big patterns print on target by
@@ -25,6 +28,10 @@ struct SocsKernels {
   LithoConfig config;
   /// Frequency-domain kernels on the grid_size^2 FFT lattice.
   std::vector<fft::GridC> kernel_ffts;
+  /// Band half-width b of the kept spectra: the smallest b with every
+  /// nonzero kernel coefficient at |kx|, |ky| <= b (fft::band_half_width),
+  /// derived from kernel_ffts by build_socs_kernels. -1 until then.
+  int band = -1;
   /// Corresponding (calibrated) nonnegative weights.
   std::vector<double> weights;
   /// Spatial L1 norms ||h_k||_1 of the kept kernels (same order as
@@ -50,8 +57,8 @@ struct SocsKernels {
 SocsKernels build_socs_kernels(const LithoConfig& config);
 
 /// Process-wide cache: builds on first use per distinct kernel_cache_key().
-/// Returned reference stays valid for the process lifetime. Not thread-safe
-/// (the whole framework is single-threaded by design).
+/// Returned reference stays valid for the process lifetime. Thread-safe:
+/// lookups and first builds run under one mutex.
 const SocsKernels& cached_kernels(const LithoConfig& config);
 
 }  // namespace ldmo::litho

@@ -44,9 +44,12 @@ struct FlightEvent {
   }
 
  private:
+  // Copies at most cap-1 bytes and zero-fills the rest of the buffer.
   static void copy_tag(char* dst, std::size_t cap, const char* src) {
-    std::strncpy(dst, src, cap - 1);
-    dst[cap - 1] = '\0';
+    std::size_t len = 0;
+    while (len + 1 < cap && src[len] != '\0') ++len;
+    std::memcpy(dst, src, len);
+    std::memset(dst + len, 0, cap - len);
   }
 };
 

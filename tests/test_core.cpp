@@ -1,6 +1,8 @@
 // Tests for the core module: predictors and the three end-to-end flows.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
@@ -8,16 +10,22 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/hash.h"
 #include "core/baseline_flows.h"
 #include "core/flow_engine.h"
 #include "core/ldmo_flow.h"
 #include "core/predictor.h"
+#include "kernels/kernels.h"
 #include "layout/generator.h"
 #include "mpl/baselines.h"
 #include "obs/json.h"
 
+#include "backend_sweep.h"
+
 namespace ldmo::core {
 namespace {
+
+using testutil::BackendGuard;
 
 litho::LithoConfig fast_litho() {
   litho::LithoConfig cfg;
@@ -275,6 +283,46 @@ TEST(FlowEngineTest, SessionReportCarriesHistoryAndWorkspaceGauges) {
   ASSERT_NE(gauges, nullptr);
   ASSERT_NE(gauges->find("workspace.pooled_bytes"), nullptr);
   EXPECT_GT(gauges->find("workspace.pooled_bytes")->number, 0.0);
+}
+
+TEST(FlowEngineTest, GenericBackendRunsMatchPinnedDigests) {
+  // End-to-end pin of the flow's numerics on the generic backend, the one
+  // every host has: an FNV-1a digest of each seed's final mask bytes and
+  // the bits of its score, recorded with the full-grid SOCS arithmetic.
+  // The band-limited imaging path must reproduce both exactly.
+  BackendGuard guard;
+  kernels::select(kernels::Backend::kGeneric);
+  FlowEngineConfig config;
+  config.litho.grid_size = 64;
+  config.litho.pixel_nm = 16.0;
+  FlowEngine engine(config);
+  struct Pin {
+    std::uint64_t seed;
+    std::uint64_t mask_digest;
+    std::uint64_t score_bits;
+  };
+  const Pin pins[] = {
+      {7, 0x670dd9b1781a5745ull, 0x40e8ecca33039d3eull},
+      {9, 0xde3e225b2c081e45ull, 0x40ee0f5a85554045ull},
+      {31, 0xc6094a7a4ab64438ull, 0x40d8ef243731264cull},
+  };
+  for (const Pin& pin : pins) {
+    const LdmoResult result = engine.run(test_layout(pin.seed));
+    ASSERT_FALSE(result.failed) << "seed " << pin.seed;
+    const GridF& m1 = result.ilt.mask1;
+    const GridF& m2 = result.ilt.mask2;
+    const std::uint64_t digest =
+        common::Fnv1a()
+            .bytes(m1.data(), m1.size() * sizeof(double))
+            .bytes(m2.data(), m2.size() * sizeof(double))
+            .digest();
+    const std::uint64_t score_bits =
+        std::bit_cast<std::uint64_t>(result.ilt.report.score());
+    EXPECT_EQ(digest, pin.mask_digest)
+        << "seed " << pin.seed << " masks 0x" << std::hex << digest;
+    EXPECT_EQ(score_bits, pin.score_bits)
+        << "seed " << pin.seed << " score 0x" << std::hex << score_bits;
+  }
 }
 
 TEST(FlowEngineTest, AdoptsCallerPredictor) {

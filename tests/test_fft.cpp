@@ -1,15 +1,25 @@
 // Unit + property tests for the FFT module: round trips, known transforms,
-// Parseval, linearity, and the convolution theorem.
+// Parseval, linearity, the convolution theorem, and the band-limited
+// transforms' exactness against the full ones.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
 #include "fft/fft.h"
+#include "kernels/kernels.h"
+
+#include "backend_sweep.h"
 
 namespace ldmo::fft {
 namespace {
+
+using testutil::BackendGuard;
+using testutil::usable_backends;
 
 TEST(FftUtil, NextPow2) {
   EXPECT_EQ(next_pow2(1), 1);
@@ -242,26 +252,6 @@ TEST(FftOutParam, ToComplexAndRealPartRoundTrip) {
   }
 }
 
-TEST(FftOutParam, ConvolveSpectrumMatchesManualPipeline) {
-  Rng rng(42);
-  const int n = 16;
-  const Fft2DPlan& plan = plan_for(n, n);
-  GridC spectrum(n, n), kernel(n, n);
-  for (std::size_t i = 0; i < spectrum.size(); ++i) {
-    spectrum[i] = Complex(rng.normal(), rng.normal());
-    kernel[i] = Complex(rng.normal(), rng.normal());
-  }
-  GridC manual = spectrum;
-  multiply_inplace(manual, kernel);
-  plan.inverse(manual);
-
-  GridC out(n, n);  // pre-shaped: the call must reuse this storage
-  const Complex* storage = out.data();
-  plan.convolve_spectrum(spectrum, kernel, out);
-  EXPECT_EQ(out.data(), storage);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], manual[i]);
-}
-
 TEST(FftRawPointer, MatchesGridTransform) {
   Rng rng(7);
   const int n = 8;
@@ -273,6 +263,187 @@ TEST(FftRawPointer, MatchesGridTransform) {
   plan.forward(grid);
   plan.forward(raw.data());
   for (std::size_t i = 0; i < grid.size(); ++i) EXPECT_EQ(raw[i], grid[i]);
+}
+
+// ------------------------------------------------------ band transforms --
+
+bool same_bits(const Complex& a, const Complex& b) {
+  return std::bit_cast<std::uint64_t>(a.real()) ==
+             std::bit_cast<std::uint64_t>(b.real()) &&
+         std::bit_cast<std::uint64_t>(a.imag()) ==
+             std::bit_cast<std::uint64_t>(b.imag());
+}
+
+// Shapes and half-widths: the imaging models' b = 6 at 64 and 128 px,
+// non-square grids, b = 0, the widest unclipped band (2b+1 = n-1), bands
+// clipped to the grid on one or both axes, and a single-row grid.
+struct BandCase {
+  int height, width, band;
+};
+const BandCase kBandCases[] = {{64, 64, 6},  {128, 128, 6}, {16, 32, 3},
+                               {32, 16, 0},  {16, 16, 7},   {8, 8, 4},
+                               {8, 8, 9},    {2, 4, 1},     {1, 8, 2}};
+
+// Spectrum with random values on the band box and exact zeros elsewhere.
+GridC band_limited_spectrum(const BandCase& c, Rng& rng) {
+  const BandAxis rows(c.height, c.band), cols(c.width, c.band);
+  GridC spectrum(c.height, c.width);
+  for (int r = 0; r < rows.size; ++r)
+    for (int j = 0; j < cols.size; ++j)
+      spectrum.at(rows.bin(r), cols.bin(j)) =
+          Complex(rng.normal(), rng.normal());
+  return spectrum;
+}
+
+// The two kinds of input the band forwards are fed: a band-limited signal
+// (what the imaging adjoint transforms) and an arbitrary one.
+std::vector<GridC> forward_inputs(const BandCase& c, Rng& rng) {
+  GridC limited = band_limited_spectrum(c, rng);
+  plan_for(c.height, c.width).inverse(limited);
+  GridC arbitrary(c.height, c.width);
+  for (std::size_t i = 0; i < arbitrary.size(); ++i)
+    arbitrary[i] = Complex(rng.uniform(), rng.normal());
+  return {limited, arbitrary};
+}
+
+std::size_t box_size(const BandCase& c) {
+  return static_cast<std::size_t>(BandAxis(c.height, c.band).size) *
+         BandAxis(c.width, c.band).size;
+}
+
+TEST(FftBand, AxisListsInBandBinsInFftOrder) {
+  const BandAxis a(16, 3);
+  EXPECT_EQ(a.size, 7);
+  std::vector<int> bins;
+  for (int i = 0; i < a.size; ++i) bins.push_back(a.bin(i));
+  EXPECT_EQ(bins, (std::vector<int>{0, 1, 2, 3, 13, 14, 15}));
+  // 2b+1 = 15 still leaves the Nyquist bin out.
+  EXPECT_EQ(BandAxis(16, 7).size, 15);
+  EXPECT_EQ(BandAxis(16, 7).bin(8), 9);
+  // Clipped to the axis: every bin, in order.
+  for (int band : {8, 9, 1000}) {
+    const BandAxis full(16, band);
+    EXPECT_EQ(full.size, 16);
+    for (int i = 0; i < 16; ++i) EXPECT_EQ(full.bin(i), i);
+  }
+  EXPECT_EQ(BandAxis(1, 0).size, 1);
+  EXPECT_THROW(BandAxis(16, -1), ldmo::Error);
+}
+
+TEST(FftBand, HalfWidthIsLargestNonzeroFrequency) {
+  GridC s(16, 32);
+  EXPECT_EQ(band_half_width(s), 0);
+  s.at(0, 31) = Complex(0.0, -1e-300);  // kx = -1
+  EXPECT_EQ(band_half_width(s), 1);
+  s.at(12, 3) = Complex(2.0, 0.0);  // ky = -4
+  EXPECT_EQ(band_half_width(s), 4);
+  s.at(0, 16) = Complex(1.0, 0.0);  // the Nyquist column
+  EXPECT_EQ(band_half_width(s), 16);
+}
+
+TEST(FftBand, GatherBandPacksTheBox) {
+  const BandCase c{16, 32, 3};
+  Rng rng(5);
+  const GridC spectrum = band_limited_spectrum(c, rng);
+  std::vector<Complex> box(box_size(c));
+  plan_for(c.height, c.width).gather_band(spectrum.data(), box.data(), 3);
+  const BandAxis rows(16, 3), cols(32, 3);
+  for (int r = 0; r < rows.size; ++r)
+    for (int j = 0; j < cols.size; ++j)
+      EXPECT_EQ(box[static_cast<std::size_t>(r) * cols.size + j],
+                spectrum.at(rows.bin(r), cols.bin(j)));
+}
+
+TEST(FftBand, ForwardBandMatchesForwardOnEveryInBandBin) {
+  BackendGuard guard;
+  for (kernels::Backend backend : usable_backends()) {
+    kernels::select(backend);
+    Rng rng(11);
+    for (const BandCase& c : kBandCases) {
+      const Fft2DPlan& plan = plan_for(c.height, c.width);
+      for (const GridC& input : forward_inputs(c, rng)) {
+        GridC full = input;
+        plan.forward(full);
+        std::vector<Complex> want(box_size(c)), got(box_size(c));
+        plan.gather_band(full.data(), want.data(), c.band);
+        GridC rows = input;
+        plan.forward_band(rows.data(), got.data(), c.band);
+        for (std::size_t i = 0; i < got.size(); ++i)
+          ASSERT_TRUE(same_bits(got[i], want[i]))
+              << kernels::to_string(backend) << " " << c.height << "x"
+              << c.width << " b=" << c.band << " bin " << i;
+      }
+    }
+  }
+}
+
+TEST(FftBand, ForwardRealBandMatchesForwardRealOnEveryInBandBin) {
+  BackendGuard guard;
+  for (kernels::Backend backend : usable_backends()) {
+    kernels::select(backend);
+    Rng rng(12);
+    for (const BandCase& c : kBandCases) {
+      const Fft2DPlan& plan = plan_for(c.height, c.width);
+      for (const GridC& input : forward_inputs(c, rng)) {
+        const GridF real = real_part(input);
+        GridC full;
+        plan.forward_real(real, full);
+        std::vector<Complex> want(box_size(c)), got(box_size(c));
+        plan.gather_band(full.data(), want.data(), c.band);
+        plan.forward_real_band(real.data(), got.data(), c.band);
+        for (std::size_t i = 0; i < got.size(); ++i)
+          ASSERT_TRUE(same_bits(got[i], want[i]))
+              << kernels::to_string(backend) << " " << c.height << "x"
+              << c.width << " b=" << c.band << " bin " << i;
+      }
+    }
+  }
+}
+
+TEST(FftBand, InverseBandMatchesInverseOnEveryElement) {
+  BackendGuard guard;
+  for (kernels::Backend backend : usable_backends()) {
+    kernels::select(backend);
+    Rng rng(13);
+    for (const BandCase& c : kBandCases) {
+      const Fft2DPlan& plan = plan_for(c.height, c.width);
+      GridC full = band_limited_spectrum(c, rng);
+      std::vector<Complex> box(box_size(c));
+      plan.gather_band(full.data(), box.data(), c.band);
+      plan.inverse(full);
+      // Stale contents must not leak into the output.
+      GridC got(c.height, c.width, Complex(7.0, 7.0));
+      plan.inverse_band(box.data(), got.data(), c.band);
+      // Skipped passes transform zeros, so only an exact zero's sign may
+      // differ: == treats -0 and +0 as equal.
+      for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i], full[i])
+            << kernels::to_string(backend) << " " << c.height << "x"
+            << c.width << " b=" << c.band << " element " << i;
+    }
+  }
+}
+
+TEST(FftBand, InverseStagesComposeToInverseBand) {
+  // A caller consuming columns [x0, x1) straight from the two stages sees
+  // exactly the columns inverse_band writes.
+  const BandCase c{32, 16, 5};
+  const Fft2DPlan& plan = plan_for(c.height, c.width);
+  Rng rng(14);
+  const GridC spectrum = band_limited_spectrum(c, rng);
+  std::vector<Complex> box(box_size(c));
+  plan.gather_band(spectrum.data(), box.data(), c.band);
+  GridC whole(c.height, c.width);
+  plan.inverse_band(box.data(), whole.data(), c.band);
+  std::vector<Complex> rows(
+      static_cast<std::size_t>(BandAxis(c.height, c.band).size) * c.width);
+  plan.inverse_band_rows(box.data(), rows.data(), c.band);
+  std::vector<Complex> cols(static_cast<std::size_t>(c.height) * 3);
+  plan.inverse_band_cols(rows.data(), 6, 9, cols.data(), c.band);
+  for (int b = 0; b < 3; ++b)
+    for (int y = 0; y < c.height; ++y)
+      EXPECT_TRUE(same_bits(cols[static_cast<std::size_t>(b) * c.height + y],
+                            whole.at(y, 6 + b)));
 }
 
 }  // namespace

@@ -166,8 +166,9 @@ TEST(Integration, ScoreRanksTrackEpeRanks) {
   // other candidate when its violation term is minimal.
   for (const auto& c : candidates) {
     const auto report = engine.optimize(l, c).report;
-    if (report.violations.total() == best_report.violations.total())
+    if (report.violations.total() == best_report.violations.total()) {
       EXPECT_LE(best_epe, report.epe.violation_count + 1);
+    }
   }
 }
 

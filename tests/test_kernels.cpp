@@ -106,7 +106,9 @@ TEST(KernelDispatchTest, UnsupportedSelectionThrows) {
   BackendGuard guard;
   EXPECT_THROW(select_by_name("bogus"), Error);
   for (Backend b : {Backend::kAvx2, Backend::kAvx512, Backend::kNeon}) {
-    if (!supported(b)) EXPECT_THROW(select(b), Error);
+    if (!supported(b)) {
+      EXPECT_THROW(select(b), Error);
+    }
   }
   // Every advertised-supported backend selects cleanly.
   for (const KernelTable* t : usable_tables()) {

@@ -2,10 +2,15 @@
 // kernels, aerial imaging, resist model and metrology.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "kernels/kernels.h"
 #include "layout/raster.h"
 #include "litho/aerial.h"
 #include "litho/config.h"
@@ -16,8 +21,13 @@
 #include "litho/simulator.h"
 #include "litho/tcc.h"
 
+#include "backend_sweep.h"
+
 namespace ldmo::litho {
 namespace {
+
+using testutil::BackendGuard;
+using testutil::usable_backends;
 
 // Small test configuration: 64px at 16nm keeps kernel construction fast
 // while staying in the same optical regime (1024nm field).
@@ -260,8 +270,15 @@ TEST(Tcc, SupportRadiusMatchesBand) {
   const TccResult tcc = build_tcc(cfg, 2);
   const double band_px =
       (1.0 + cfg.sigma_outer) * cfg.cutoff_frequency() * cfg.field_nm();
-  for (const auto& [kx, ky] : tcc.support)
+  int largest = 0;
+  for (const auto& [kx, ky] : tcc.support) {
     EXPECT_LE(kx * kx + ky * ky, band_px * band_px + 1e-9);
+    largest = std::max({largest, std::abs(kx), std::abs(ky)});
+  }
+  // The kernels' recorded band half-width is the support's largest |k|:
+  // 6 bins for the 1024 nm field.
+  EXPECT_EQ(cached_kernels(cfg).band, largest);
+  EXPECT_EQ(largest, 6);
 }
 
 // -------------------------------------------------------------- kernels --
@@ -474,6 +491,148 @@ TEST(Aerial, OutParamOverloadsReuseWarmBuffersBitIdentically) {
   aerial.backpropagate(reused.intensity, reused, grad_reused);
   for (std::size_t i = 0; i < grad_once.size(); ++i)
     EXPECT_EQ(grad_reused[i], grad_once[i]);
+}
+
+// ------------------------------------------------- band-limited imaging --
+
+// The full-grid SOCS arithmetic the band path replaced, spelled out: full
+// real mask FFT, full-grid kernel products and 2-D inverses, the serial
+// intensity fold, and the adjoint's full-grid spectral sum.
+struct FullGridImage {
+  std::vector<fft::GridC> fields;
+  GridF intensity;
+};
+
+FullGridImage full_grid_forward(const SocsKernels& k, const GridF& mask) {
+  const int n = k.config.grid_size;
+  const fft::Fft2DPlan& plan = fft::plan_for(n, n);
+  const kernels::KernelTable& kt = kernels::table();
+  fft::GridC mask_freq;
+  plan.forward_real(mask, mask_freq);
+  FullGridImage out;
+  out.intensity = GridF(n, n, 0.0);
+  for (std::size_t i = 0; i < k.kernel_ffts.size(); ++i) {
+    fft::GridC field(n, n);
+    kt.cmul_to_f64(mask_freq.data(), k.kernel_ffts[i].data(), field.data(),
+                   field.size());
+    plan.inverse(field);
+    kt.norm_weighted_accum_f64(out.intensity.data(), field.data(),
+                               k.weights[i], field.size());
+    out.fields.push_back(std::move(field));
+  }
+  return out;
+}
+
+GridF full_grid_backpropagate(const SocsKernels& k, const GridF& dldi,
+                              const std::vector<fft::GridC>& fields) {
+  const int n = k.config.grid_size;
+  const fft::Fft2DPlan& plan = fft::plan_for(n, n);
+  const kernels::KernelTable& kt = kernels::table();
+  fft::GridC accum(n, n);
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    fft::GridC slice(n, n);
+    kt.real_mul_f64(dldi.data(), fields[i].data(), slice.data(),
+                    slice.size());
+    plan.forward(slice);
+    kt.cmul_conj_accum_f64(accum.data(), slice.data(),
+                           k.kernel_ffts[i].data(), k.weights[i],
+                           accum.size());
+  }
+  plan.inverse(accum);
+  GridF grad(n, n);
+  kt.scaled_real_f64(accum.data(), 2.0, grad.data(), grad.size());
+  return grad;
+}
+
+bool same_bits(const GridF& a, const GridF& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// In-focus, defocused (complex Hermitian TCC) and energy-truncated kernel
+// sets at 64 and 128 px, all on the 1024 nm field (band b = 6).
+std::vector<LithoConfig> band_configs() {
+  std::vector<LithoConfig> out;
+  for (int n : {64, 128}) {
+    LithoConfig cfg;
+    cfg.grid_size = n;
+    cfg.pixel_nm = 1024.0 / n;
+    cfg.kernel_count = 6;
+    out.push_back(cfg);
+    LithoConfig defocus = cfg;
+    defocus.defocus_nm = 60.0;
+    out.push_back(defocus);
+    LithoConfig truncated = cfg;
+    truncated.kernel_keep_energy = 0.9;
+    out.push_back(truncated);
+  }
+  return out;
+}
+
+void expect_band_path_matches_full_grid(const SocsKernels& kernels,
+                                        const std::string& label) {
+  const int n = kernels.config.grid_size;
+  BackendGuard guard;
+  for (kernels::Backend backend : usable_backends()) {
+    kernels::select(backend);
+    SCOPED_TRACE(label + " on " + kernels::to_string(backend));
+    const AerialSimulator aerial(kernels);
+    Rng rng(static_cast<std::uint64_t>(n) + 7);
+    GridF mask(n, n);
+    for (std::size_t i = 0; i < mask.size(); ++i) mask[i] = rng.uniform();
+    GridF dldi(n, n);
+    for (std::size_t i = 0; i < dldi.size(); ++i)
+      dldi[i] = rng.uniform(-1.0, 1.0);
+
+    const FullGridImage want = full_grid_forward(kernels, mask);
+    // Intensities are memcmp-identical on both forward paths.
+    EXPECT_TRUE(same_bits(aerial.intensity(mask), want.intensity));
+    const AerialFields got = aerial.intensity_with_fields(mask);
+    EXPECT_TRUE(same_bits(got.intensity, want.intensity));
+    // Fields and gradients compare equal; only an exact zero's sign may
+    // differ (a skipped pass would have transformed zeros).
+    ASSERT_EQ(got.fields.size(), want.fields.size());
+    for (std::size_t k = 0; k < want.fields.size(); ++k)
+      for (std::size_t i = 0; i < want.fields[k].size(); ++i)
+        ASSERT_EQ(got.fields[k][i], want.fields[k][i])
+            << "kernel " << k << " pixel " << i;
+    const GridF grad = aerial.backpropagate(dldi, got);
+    const GridF want_grad =
+        full_grid_backpropagate(kernels, dldi, want.fields);
+    for (std::size_t i = 0; i < want_grad.size(); ++i)
+      ASSERT_EQ(grad[i], want_grad[i]) << "pixel " << i;
+  }
+}
+
+TEST(AerialBand, AllPathsMatchFullGridArithmetic) {
+  for (const LithoConfig& cfg : band_configs()) {
+    const SocsKernels& kernels = cached_kernels(cfg);
+    // The band path is really exercised: 13 of n rows and columns, and
+    // the truncated sets really drop kernels.
+    ASSERT_EQ(kernels.band, 6);
+    if (cfg.kernel_keep_energy < 1.0) {
+      ASSERT_GT(kernels.dropped_kernel_count, 0);
+    }
+    const std::string label =
+        std::to_string(cfg.grid_size) + "px defocus " +
+        std::to_string(cfg.defocus_nm) + " keep " +
+        std::to_string(cfg.kernel_keep_energy) + " (" +
+        std::to_string(kernels.kernel_count()) + " kernels)";
+    expect_band_path_matches_full_grid(kernels, label);
+  }
+}
+
+TEST(AerialBand, BandCoveringTheGridRunsTheSamePath) {
+  // An 8 px grid over the 1024 nm field: the support reaches the Nyquist
+  // bins, so the band is clipped to the whole grid.
+  LithoConfig cfg;
+  cfg.grid_size = 8;
+  cfg.pixel_nm = 128.0;
+  cfg.kernel_count = 4;
+  cfg.calibration_feature_nm = 384.0;
+  const SocsKernels& kernels = cached_kernels(cfg);
+  EXPECT_EQ(kernels.band, 4);
+  expect_band_path_matches_full_grid(kernels, "8px");
 }
 
 TEST(Simulator, ExposeAndPrintOutParamsMatchValueOverloads) {
