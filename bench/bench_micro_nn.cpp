@@ -1,9 +1,15 @@
 // Microbenchmarks of the CNN substrate: GEMM, conv forward/backward,
-// ResNet regressor inference and training step.
+// ResNet regressor inference, one clip's candidate scoring and a training
+// step.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "alloc_probe.h"
+#include "core/predictor.h"
 #include "kernels/kernels.h"
+#include "layout/generator.h"
+#include "mpl/decomposition_generator.h"
 #include "runtime/thread_pool.h"
 #include "common/rng.h"
 #include "nn/conv.h"
@@ -75,6 +81,28 @@ void BM_ResNetInference(benchmark::State& state) {
   state.SetLabel("slim-resnet18@64px");
 }
 BENCHMARK(BM_ResNetInference)->Unit(benchmark::kMillisecond);
+
+void BM_CnnScoreBatch(benchmark::State& state) {
+  // The flow's whole predict phase for one clip: rasterize every generated
+  // candidate and score it with the 64-px network.
+  core::CnnPredictor predictor(std::make_unique<nn::ResNetRegressor>());
+  layout::LayoutGenerator gen;
+  const layout::Layout clip = gen.generate(32);
+  const std::vector<layout::Assignment> candidates =
+      mpl::generate_decompositions(clip).candidates;
+  bench_alloc::PoolProbe probe;
+  for (auto _ : state) {
+    const std::vector<double> scores =
+        predictor.score_batch(clip, candidates);
+    benchmark::DoNotOptimize(scores.data());
+  }
+  probe.finish(state);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long long>(candidates.size()));
+  state.SetLabel("seed-32 clip, candidates=" +
+                 std::to_string(candidates.size()));
+}
+BENCHMARK(BM_CnnScoreBatch)->Unit(benchmark::kMillisecond);
 
 void BM_ResNetTrainStep(benchmark::State& state) {
   nn::ResNetConfig cfg;

@@ -8,6 +8,7 @@
 #include "nn/serialize.h"
 #include "obs/metrics.h"
 #include "runtime/parallel_for.h"
+#include "runtime/workspace.h"
 #include "sampling/training_set.h"
 
 namespace ldmo::core {
@@ -55,7 +56,7 @@ double CnnPredictor::score(const layout::Layout& layout,
 std::vector<double> CnnPredictor::score_batch(
     const layout::Layout& layout,
     const std::vector<layout::Assignment>& candidates) {
-  // One-job case of the multi path; the chunking is identical either way.
+  // One-job case of the multi path.
   return score_batch_multi({{&layout, &candidates}}).front();
 }
 
@@ -69,8 +70,7 @@ std::vector<std::vector<double>> CnnPredictor::score_batch_multi(
   const std::size_t pixels =
       static_cast<std::size_t>(size) * static_cast<std::size_t>(size);
 
-  // Flatten every job's (layout, candidate) pairs into one stream so
-  // inference batches fill across request boundaries.
+  // Flatten every job's (layout, candidate) pairs into one stream.
   struct Item {
     const layout::Layout* layout;
     const layout::Assignment* candidate;
@@ -87,27 +87,26 @@ std::vector<std::vector<double>> CnnPredictor::score_batch_multi(
                        &results[j][c]});
   }
   inference_counter.inc(static_cast<long long>(items.size()));
+  if (items.empty()) return results;
 
-  // Fixed batch size, independent of the thread count AND of how requests
-  // were coalesced: it bounds activation memory, and eval-mode inference is
-  // sample-independent, so each score is bit-identical however the stream
-  // is chunked (the serving determinism contract).
-  constexpr std::size_t kBatch = 16;
-  for (std::size_t base = 0; base < items.size(); base += kBatch) {
-    const std::size_t count = std::min(kBatch, items.size() - base);
-    nn::Tensor batch({static_cast<int>(count), 1, size, size});
-    // Rasterizing the decomposition images is per-candidate independent.
-    runtime::parallel_for(count, [&](std::size_t i) {
-      const Item& item = items[base + i];
-      const nn::Tensor image = sampling::decomposition_tensor(
-          *item.layout, *item.candidate, size);
-      std::memcpy(batch.data() + i * pixels, image.data(),
-                  pixels * sizeof(float));
-    });
-    const nn::Tensor out = network_->forward(batch, /*training=*/false);
-    for (std::size_t i = 0; i < count; ++i)
-      *items[base + i].slot = static_cast<double>(out[i]);
-  }
+  // Rasterizing the decomposition images is per-candidate independent.
+  // Every image is fully written before predict reads it.
+  runtime::PooledVector<float> images =
+      runtime::Workspace::this_thread().vec_f32_uninit(items.size() * pixels);
+  runtime::parallel_for(items.size(), [&](std::size_t i) {
+    const nn::Tensor image = sampling::decomposition_tensor(
+        *items[i].layout, *items[i].candidate, size);
+    std::memcpy(images.data() + i * pixels, image.data(),
+                pixels * sizeof(float));
+  });
+  // One whole-network task per candidate. Eval-mode inference is
+  // sample-independent, so each score is bit-identical however requests
+  // were coalesced and at any thread count (the serving determinism
+  // contract).
+  const std::vector<float> scores =
+      network_->predict(images.data(), items.size());
+  for (std::size_t i = 0; i < items.size(); ++i)
+    *items[i].slot = static_cast<double>(scores[i]);
   return results;
 }
 

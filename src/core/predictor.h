@@ -46,7 +46,7 @@ class PrintabilityPredictor {
   /// that job's candidates, and every score is REQUIRED to be bit-identical
   /// to a solo score_batch of the same job (the serving layer's determinism
   /// contract rests on it). The default runs the jobs in order; the CNN
-  /// overrides it to share fixed-size inference batches across jobs.
+  /// overrides it to run every job's candidates in one parallel inference.
   /// Implementations need not be thread-safe — the serve batcher serializes
   /// entry.
   virtual std::vector<std::vector<double>> score_batch_multi(
@@ -65,17 +65,17 @@ class CnnPredictor : public PrintabilityPredictor {
 
   double score(const layout::Layout& layout,
                const layout::Assignment& assignment) override;
-  /// Batched inference: candidates are rasterized in parallel and pushed
-  /// through the network in fixed-size batches (BatchNorm runs in eval
-  /// mode, so batching is sample-independent and scores match score()).
+  /// Batched inference: candidates are rasterized in parallel, then
+  /// ResNetRegressor::predict runs the whole network on each one as its
+  /// own task. Eval-mode inference is sample-independent, so scores match
+  /// score() bit for bit.
   std::vector<double> score_batch(
       const layout::Layout& layout,
       const std::vector<layout::Assignment>& candidates) override;
   /// Cross-request batching: flattens every job's (layout, candidate)
-  /// pairs into one stream and runs the same fixed-kBatch inference path
-  /// as score_batch over it, so batches fill across request boundaries.
-  /// Eval-mode inference is sample-independent, so each score is
-  /// bit-identical to a solo run regardless of batch composition.
+  /// pairs into one stream and scores it with one predict call, so the
+  /// per-candidate tasks of concurrent requests share the thread pool.
+  /// Each score is bit-identical to a solo run whatever the job mix.
   std::vector<std::vector<double>> score_batch_multi(
       const std::vector<ScoringJob>& jobs) override;
   std::string name() const override { return "cnn"; }

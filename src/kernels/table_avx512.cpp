@@ -144,6 +144,36 @@ inline __m512d cmul_pd(__m512d a, __m512d b) {
 
 constexpr int kBlock = 64;  // same cache blocking as the generic backend
 
+// One 16-lane column tile (lanes past `m` masked off) of `Rows`
+// consecutive C rows over the p-block. Each row keeps its own accumulator,
+// so the rows' add chains overlap; per element the adds still run
+// p-ascending, as in the generic loop.
+template <int Rows>
+inline void gemm_tile16(const float* a, const float* b, float* c, int i,
+                        int j, __mmask16 m, int p0, int p1, int k, int n) {
+  // Fully unrolled over the rows so the accumulators stay in registers.
+  __m512 acc[Rows];
+#pragma GCC unroll 8
+  for (int r = 0; r < Rows; ++r)
+    acc[r] = _mm512_maskz_loadu_ps(
+        m, c + static_cast<std::size_t>(i + r) * n + j);
+  for (int p = p0; p < p1; ++p) {
+    const __m512 bv =
+        _mm512_maskz_loadu_ps(m, b + static_cast<std::size_t>(p) * n + j);
+#pragma GCC unroll 8
+    for (int r = 0; r < Rows; ++r)
+      acc[r] = _mm512_add_ps(
+          acc[r],
+          _mm512_mul_ps(
+              _mm512_set1_ps(a[static_cast<std::size_t>(i + r) * k + p]),
+              bv));
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < Rows; ++r)
+    _mm512_mask_storeu_ps(c + static_cast<std::size_t>(i + r) * n + j, m,
+                          acc[r]);
+}
+
 void gemm_rows_f32(const float* a, const float* b, float* c, int i_begin,
                    int i_end, int k, int n) {
   for (int i0 = i_begin; i0 < i_end; i0 += kBlock) {
@@ -152,14 +182,14 @@ void gemm_rows_f32(const float* a, const float* b, float* c, int i_begin,
       const int p1 = std::min(p0 + kBlock, k);
       for (int j0 = 0; j0 < n; j0 += kBlock) {
         const int j1 = std::min(j0 + kBlock, n);
+        const int j_wide = j0 + (j1 - j0) / 64 * 64;
         for (int i = i0; i < i1; ++i) {
           const float* arow = a + static_cast<std::size_t>(i) * k;
           float* crow = c + static_cast<std::size_t>(i) * n;
-          int j = j0;
           // 64-wide register tile covers a whole kBlock row in 4 zmm;
           // accumulation over p stays serial per element (bit-identical
           // to the generic p-ascending order).
-          for (; j + 64 <= j1; j += 64) {
+          for (int j = j0; j < j_wide; j += 64) {
             __m512 acc0 = _mm512_loadu_ps(crow + j);
             __m512 acc1 = _mm512_loadu_ps(crow + j + 16);
             __m512 acc2 = _mm512_loadu_ps(crow + j + 32);
@@ -181,28 +211,17 @@ void gemm_rows_f32(const float* a, const float* b, float* c, int i_begin,
             _mm512_storeu_ps(crow + j + 32, acc2);
             _mm512_storeu_ps(crow + j + 48, acc3);
           }
-          for (; j + 16 <= j1; j += 16) {
-            __m512 acc = _mm512_loadu_ps(crow + j);
-            for (int p = p0; p < p1; ++p) {
-              const __m512 av = _mm512_set1_ps(arow[p]);
-              const float* brow = b + static_cast<std::size_t>(p) * n + j;
-              acc = _mm512_add_ps(acc,
-                                  _mm512_mul_ps(av, _mm512_loadu_ps(brow)));
-            }
-            _mm512_storeu_ps(crow + j, acc);
-          }
-          if (j < j1) {
-            const __mmask16 m =
-                static_cast<__mmask16>((1u << (j1 - j)) - 1u);
-            __m512 acc = _mm512_maskz_loadu_ps(m, crow + j);
-            for (int p = p0; p < p1; ++p) {
-              const __m512 av = _mm512_set1_ps(arow[p]);
-              const float* brow = b + static_cast<std::size_t>(p) * n + j;
-              acc = _mm512_add_ps(
-                  acc, _mm512_mul_ps(av, _mm512_maskz_loadu_ps(m, brow)));
-            }
-            _mm512_mask_storeu_ps(crow + j, m, acc);
-          }
+        }
+        // Narrower columns (the small spatial maps of deep conv layers)
+        // give one accumulator per row, so rows go eight at a time.
+        for (int j = j_wide; j < j1; j += 16) {
+          const int width = std::min(16, j1 - j);
+          const __mmask16 m =
+              static_cast<__mmask16>((1u << width) - 1u);
+          int i = i0;
+          for (; i + 8 <= i1; i += 8)
+            gemm_tile16<8>(a, b, c, i, j, m, p0, p1, k, n);
+          for (; i < i1; ++i) gemm_tile16<1>(a, b, c, i, j, m, p0, p1, k, n);
         }
       }
     }
@@ -239,8 +258,12 @@ float dot_f32(const float* x, const float* y, int n) {
   }
   alignas(64) float lanes[16];
   _mm512_store_ps(lanes, acc);
+  // Below 16 elements the lanes past n hold +0. The running sum starts at
+  // +0 and so is never -0, and adding +0 to anything else changes nothing:
+  // those adds can be skipped without changing a bit.
+  const int used = n < 16 ? n : 16;
   float sum = 0.0f;
-  for (int l = 0; l < 16; ++l) sum += lanes[l];
+  for (int l = 0; l < used; ++l) sum += lanes[l];
   return sum;
 }
 

@@ -16,6 +16,13 @@ class BatchNorm2d : public Layer {
   std::vector<Parameter*> parameters() override;
   std::string name() const override { return "batchnorm2d"; }
 
+  SampleShape eval_shape(const SampleShape& in) const override;
+  bool eval_in_place() const override { return true; }
+  /// g * (x - running_mean) * inv_std + b per element, inv_std from the
+  /// running variance.
+  void eval_sample(const float* in, const SampleShape& in_shape, float* out,
+                   float* scratch) const override;
+
   int channels() const { return channels_; }
   Parameter& gamma() { return gamma_; }
   Parameter& beta() { return beta_; }
@@ -31,10 +38,9 @@ class BatchNorm2d : public Layer {
   Tensor running_mean_;
   Tensor running_var_;
 
-  // Cached forward state for backward (training mode only).
+  // Cached by the last training-mode forward for backward.
   Tensor cached_normalized_;
   std::vector<float> cached_inv_std_;
-  bool last_was_training_ = false;
 };
 
 }  // namespace ldmo::nn

@@ -1,11 +1,11 @@
 #include "nn/conv.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
 #include "common/error.h"
 #include "nn/gemm.h"
-#include "runtime/parallel_for.h"
 #include "runtime/workspace.h"
 
 namespace ldmo::nn {
@@ -29,109 +29,138 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel_size, int stride,
   if (has_bias_) bias_ = Parameter({out_channels});
 }
 
-void Conv2d::im2col(const Tensor& input, int sample, float* columns) const {
-  // columns: [in_c * k * k, out_h * out_w]
-  const int H = input.dim(2);
-  const int W = input.dim(3);
-  const int cols = out_h_ * out_w_;
-  for (int c = 0; c < in_channels_; ++c) {
-    for (int ky = 0; ky < kernel_size_; ++ky) {
-      for (int kx = 0; kx < kernel_size_; ++kx) {
-        float* row = columns +
-                     static_cast<std::size_t>((c * kernel_size_ + ky) *
-                                              kernel_size_ + kx) * cols;
-        for (int oy = 0; oy < out_h_; ++oy) {
-          const int iy = oy * stride_ - padding_ + ky;
-          if (iy < 0 || iy >= H) {
-            std::memset(row + static_cast<std::size_t>(oy) * out_w_, 0,
-                        static_cast<std::size_t>(out_w_) * sizeof(float));
-            continue;
-          }
-          for (int ox = 0; ox < out_w_; ++ox) {
-            const int ix = ox * stride_ - padding_ + kx;
-            row[static_cast<std::size_t>(oy) * out_w_ + ox] =
-                (ix >= 0 && ix < W) ? input.at4(sample, c, iy, ix) : 0.0f;
-          }
-        }
-      }
-    }
-  }
+void Conv2d::tap_range(int kx, int width, int out_width, int& lo,
+                       int& hi) const {
+  const int first = padding_ - kx;              // ox * stride >= first
+  const int last = width - 1 + padding_ - kx;   // ox * stride <= last
+  lo = first > 0 ? (first + stride_ - 1) / stride_ : 0;
+  hi = last >= 0 ? std::min(last / stride_ + 1, out_width) : 0;
+  lo = std::min(lo, hi);
 }
 
-void Conv2d::col2im(const float* columns, Tensor& grad_input,
-                    int sample) const {
-  const int H = grad_input.dim(2);
-  const int W = grad_input.dim(3);
-  const int cols = out_h_ * out_w_;
+void Conv2d::im2col(const float* planes, int height, int width, int out_h,
+                    int out_w, float* columns) const {
+  const std::size_t plane = static_cast<std::size_t>(height) * width;
+  const std::size_t cols = static_cast<std::size_t>(out_h) * out_w;
+  float* row = columns;
   for (int c = 0; c < in_channels_; ++c) {
+    const float* src = planes + static_cast<std::size_t>(c) * plane;
     for (int ky = 0; ky < kernel_size_; ++ky) {
-      for (int kx = 0; kx < kernel_size_; ++kx) {
-        const float* row = columns +
-                           static_cast<std::size_t>((c * kernel_size_ + ky) *
-                                                    kernel_size_ + kx) * cols;
-        for (int oy = 0; oy < out_h_; ++oy) {
-          const int iy = oy * stride_ - padding_ + ky;
-          if (iy < 0 || iy >= H) continue;
-          for (int ox = 0; ox < out_w_; ++ox) {
-            const int ix = ox * stride_ - padding_ + kx;
-            if (ix >= 0 && ix < W)
-              grad_input.at4(sample, c, iy, ix) +=
-                  row[static_cast<std::size_t>(oy) * out_w_ + ox];
-          }
-        }
-      }
-    }
-  }
-}
-
-Tensor Conv2d::forward(const Tensor& input, bool /*training*/) {
-  require(input.rank() == 4 && input.dim(1) == in_channels_,
-          "Conv2d::forward: bad input shape");
-  cached_input_ = input;
-  const int N = input.dim(0);
-  out_h_ = output_size(input.dim(2));
-  out_w_ = output_size(input.dim(3));
-  require(out_h_ > 0 && out_w_ > 0, "Conv2d::forward: output collapsed");
-
-  const int fan_in = in_channels_ * kernel_size_ * kernel_size_;
-  const int cols = out_h_ * out_w_;
-  Tensor output({N, out_channels_, out_h_, out_w_});
-  // Samples write disjoint output slices, so the batch loop parallelizes
-  // with bit-identical results; the im2col scratch is per-chunk.
-  runtime::parallel_for_chunks(
-      static_cast<std::size_t>(N), 1,
-      [&](std::size_t n_begin, std::size_t n_end) {
-        // im2col fully overwrites the buffer, so the worker's pooled
-        // scratch needs no zeroing and is reused across inference calls.
-        runtime::PooledVector<float> columns =
-            runtime::Workspace::this_thread().vec_f32_uninit(
-                static_cast<std::size_t>(fan_in) * cols);
-        for (std::size_t n = n_begin; n < n_end; ++n) {
-          im2col(input, static_cast<int>(n), columns.data());
-          float* out = output.data() + n * out_channels_ * cols;
-          gemm(weight_.value.data(), columns.data(), out, out_channels_,
-               fan_in, cols);
-          if (has_bias_) {
-            for (int oc = 0; oc < out_channels_; ++oc) {
-              const float b = bias_.value[static_cast<std::size_t>(oc)];
-              float* channel = out + static_cast<std::size_t>(oc) * cols;
-              for (int i = 0; i < cols; ++i) channel[i] += b;
+      int y_lo, y_hi;
+      tap_range(ky, height, out_h, y_lo, y_hi);
+      for (int kx = 0; kx < kernel_size_; ++kx, row += cols) {
+        int x_lo, x_hi;
+        tap_range(kx, width, out_w, x_lo, x_hi);
+        // Rows and columns whose tap falls in the padding are zero.
+        std::fill(row, row + static_cast<std::size_t>(y_lo) * out_w, 0.0f);
+        for (int oy = y_lo; oy < y_hi; ++oy) {
+          float* dst = row + static_cast<std::size_t>(oy) * out_w;
+          std::fill(dst, dst + x_lo, 0.0f);
+          if (x_lo < x_hi) {
+            const float* s =
+                src +
+                static_cast<std::size_t>(oy * stride_ - padding_ + ky) * width +
+                (x_lo * stride_ - padding_ + kx);
+            if (stride_ == 1) {
+              std::memcpy(dst + x_lo, s,
+                          static_cast<std::size_t>(x_hi - x_lo) *
+                              sizeof(float));
+            } else {
+              for (int ox = x_lo; ox < x_hi; ++ox)
+                dst[ox] = s[static_cast<std::size_t>(ox - x_lo) * stride_];
             }
           }
+          std::fill(dst + x_hi, dst + out_w, 0.0f);
         }
-      });
+        std::fill(row + static_cast<std::size_t>(y_hi) * out_w, row + cols,
+                  0.0f);
+      }
+    }
+  }
+}
+
+void Conv2d::col2im(const float* columns, int height, int width, int out_h,
+                    int out_w, float* planes) const {
+  // Same (c, ky, kx, oy, ox) order as im2col, so every input element sums
+  // its contributions in one fixed order.
+  const std::size_t plane = static_cast<std::size_t>(height) * width;
+  const std::size_t cols = static_cast<std::size_t>(out_h) * out_w;
+  const float* row = columns;
+  for (int c = 0; c < in_channels_; ++c) {
+    float* dst_plane = planes + static_cast<std::size_t>(c) * plane;
+    for (int ky = 0; ky < kernel_size_; ++ky) {
+      int y_lo, y_hi;
+      tap_range(ky, height, out_h, y_lo, y_hi);
+      for (int kx = 0; kx < kernel_size_; ++kx, row += cols) {
+        int x_lo, x_hi;
+        tap_range(kx, width, out_w, x_lo, x_hi);
+        if (x_lo == x_hi) continue;
+        for (int oy = y_lo; oy < y_hi; ++oy) {
+          const float* src = row + static_cast<std::size_t>(oy) * out_w;
+          float* dst =
+              dst_plane +
+              static_cast<std::size_t>(oy * stride_ - padding_ + ky) * width +
+              (x_lo * stride_ - padding_ + kx);
+          for (int ox = x_lo; ox < x_hi; ++ox)
+            dst[static_cast<std::size_t>(ox - x_lo) * stride_] += src[ox];
+        }
+      }
+    }
+  }
+}
+
+SampleShape Conv2d::eval_shape(const SampleShape& in) const {
+  require(!in.flat && in.c == in_channels_,
+          "Conv2d::forward: bad input shape");
+  const SampleShape out{out_channels_, output_size(in.h), output_size(in.w)};
+  require(out.h > 0 && out.w > 0, "Conv2d::forward: output collapsed");
+  return out;
+}
+
+std::size_t Conv2d::eval_scratch(const SampleShape& in) const {
+  return static_cast<std::size_t>(in_channels_) * kernel_size_ *
+         kernel_size_ * eval_shape(in).plane();
+}
+
+void Conv2d::eval_sample(const float* in, const SampleShape& in_shape,
+                         float* out, float* scratch) const {
+  const int out_h = output_size(in_shape.h);
+  const int out_w = output_size(in_shape.w);
+  const int fan_in = in_channels_ * kernel_size_ * kernel_size_;
+  const int cols = out_h * out_w;
+  im2col(in, in_shape.h, in_shape.w, out_h, out_w, scratch);
+  gemm(weight_.value.data(), scratch, out, out_channels_, fan_in, cols);
+  if (has_bias_) {
+    for (int oc = 0; oc < out_channels_; ++oc) {
+      const float b = bias_.value[static_cast<std::size_t>(oc)];
+      float* channel = out + static_cast<std::size_t>(oc) * cols;
+      for (int i = 0; i < cols; ++i) channel[i] += b;
+    }
+  }
+}
+
+Tensor Conv2d::forward(const Tensor& input, bool training) {
+  Tensor output = forward_eval(input);
+  if (training) cached_input_ = input;
   return output;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
+  require(cached_input_.rank() == 4,
+          "Conv2d::backward: no training-mode forward to differentiate");
   const int N = cached_input_.dim(0);
+  const int H = cached_input_.dim(2);
+  const int W = cached_input_.dim(3);
+  const int out_h = output_size(H);
+  const int out_w = output_size(W);
   const int fan_in = in_channels_ * kernel_size_ * kernel_size_;
-  const int cols = out_h_ * out_w_;
+  const int cols = out_h * out_w;
   require(grad_output.rank() == 4 && grad_output.dim(1) == out_channels_ &&
-              grad_output.dim(2) == out_h_ && grad_output.dim(3) == out_w_,
+              grad_output.dim(2) == out_h && grad_output.dim(3) == out_w,
           "Conv2d::backward: bad gradient shape");
 
   Tensor grad_input(cached_input_.shape());
+  const std::size_t in_size = static_cast<std::size_t>(in_channels_) * H * W;
   // Both buffers are fully overwritten per sample (im2col / memset), so
   // pooled uninitialized scratch is bit-identical to fresh vectors.
   runtime::Workspace& ws = runtime::Workspace::this_thread();
@@ -147,14 +176,16 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     const float* gout = grad_output.data() +
                         static_cast<std::size_t>(n) * out_channels_ * cols;
     // dW += dY * col^T
-    im2col(cached_input_, n, columns.data());
+    im2col(cached_input_.data() + n * in_size, H, W, out_h, out_w,
+           columns.data());
     gemm_a_bt_accumulate(gout, columns.data(), weight_.grad.data(),
                          out_channels_, cols, fan_in);
     // dcol = W^T * dY
     std::memset(grad_columns.data(), 0, grad_columns.size() * sizeof(float));
     gemm_at_b_accumulate(weight_.value.data(), gout, grad_columns.data(),
                          fan_in, out_channels_, cols);
-    col2im(grad_columns.data(), grad_input, n);
+    col2im(grad_columns.data(), H, W, out_h, out_w,
+           grad_input.data() + n * in_size);
     if (has_bias_) {
       for (int oc = 0; oc < out_channels_; ++oc) {
         const float* channel = gout + static_cast<std::size_t>(oc) * cols;

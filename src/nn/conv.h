@@ -18,6 +18,12 @@ class Conv2d : public Layer {
   std::vector<Parameter*> parameters() override;
   std::string name() const override { return "conv2d"; }
 
+  SampleShape eval_shape(const SampleShape& in) const override;
+  /// The im2col column matrix: [in_c * k * k, out_h * out_w].
+  std::size_t eval_scratch(const SampleShape& in) const override;
+  void eval_sample(const float* in, const SampleShape& in_shape, float* out,
+                   float* scratch) const override;
+
   int in_channels() const { return in_channels_; }
   int out_channels() const { return out_channels_; }
 
@@ -30,8 +36,15 @@ class Conv2d : public Layer {
   Parameter& bias() { return bias_; }
 
  private:
-  void im2col(const Tensor& input, int sample, float* columns) const;
-  void col2im(const float* columns, Tensor& grad_input, int sample) const;
+  /// Valid output columns [lo, hi) of kernel tap `kx` for input width
+  /// `width`: exactly the ox with 0 <= ox * stride - padding + kx < width.
+  void tap_range(int kx, int width, int out_width, int& lo, int& hi) const;
+  /// One sample's [in_c, H, W] planes -> columns [in_c * k * k, oh * ow].
+  void im2col(const float* planes, int height, int width, int out_h,
+              int out_w, float* columns) const;
+  /// Adjoint of im2col: accumulates columns into [in_c, H, W] planes.
+  void col2im(const float* columns, int height, int width, int out_h,
+              int out_w, float* planes) const;
 
   int in_channels_;
   int out_channels_;
@@ -42,9 +55,7 @@ class Conv2d : public Layer {
   Parameter weight_;  ///< [out_c, in_c * k * k]
   Parameter bias_;    ///< [out_c] (empty when bias disabled)
 
-  Tensor cached_input_;
-  int out_h_ = 0;
-  int out_w_ = 0;
+  Tensor cached_input_;  ///< last training-mode input
 };
 
 }  // namespace ldmo::nn

@@ -5,7 +5,6 @@
 
 #include "common/error.h"
 #include "nn/gemm.h"
-#include "runtime/parallel_for.h"
 #include "runtime/workspace.h"
 
 namespace ldmo::nn {
@@ -32,12 +31,13 @@ ConvTranspose2d::ConvTranspose2d(int in_channels, int out_channels,
   if (has_bias_) bias_ = Parameter({out_channels});
 }
 
-void ConvTranspose2d::scatter_columns(const float* columns, Tensor& output,
-                                      int sample) const {
-  const int in_h = cached_input_.dim(2);
-  const int in_w = cached_input_.dim(3);
+void ConvTranspose2d::scatter_columns(const float* columns, int in_h,
+                                      int in_w, int out_h, int out_w,
+                                      float* planes) const {
   const int cols = in_h * in_w;
   for (int oc = 0; oc < out_channels_; ++oc) {
+    float* plane =
+        planes + static_cast<std::size_t>(oc) * out_h * out_w;
     for (int ky = 0; ky < kernel_size_; ++ky) {
       for (int kx = 0; kx < kernel_size_; ++kx) {
         const float* row = columns +
@@ -45,11 +45,11 @@ void ConvTranspose2d::scatter_columns(const float* columns, Tensor& output,
                                                     kernel_size_ + kx) * cols;
         for (int iy = 0; iy < in_h; ++iy) {
           const int oy = iy * stride_ - padding_ + ky;
-          if (oy < 0 || oy >= out_h_) continue;
+          if (oy < 0 || oy >= out_h) continue;
           for (int ix = 0; ix < in_w; ++ix) {
             const int ox = ix * stride_ - padding_ + kx;
-            if (ox >= 0 && ox < out_w_)
-              output.at4(sample, oc, oy, ox) +=
+            if (ox >= 0 && ox < out_w)
+              plane[static_cast<std::size_t>(oy) * out_w + ox] +=
                   row[static_cast<std::size_t>(iy) * in_w + ix];
           }
         }
@@ -58,12 +58,13 @@ void ConvTranspose2d::scatter_columns(const float* columns, Tensor& output,
   }
 }
 
-void ConvTranspose2d::gather_columns(const Tensor& grad_output, int sample,
+void ConvTranspose2d::gather_columns(const float* planes, int in_h,
+                                     int in_w, int out_h, int out_w,
                                      float* columns) const {
-  const int in_h = cached_input_.dim(2);
-  const int in_w = cached_input_.dim(3);
   const int cols = in_h * in_w;
   for (int oc = 0; oc < out_channels_; ++oc) {
+    const float* plane =
+        planes + static_cast<std::size_t>(oc) * out_h * out_w;
     for (int ky = 0; ky < kernel_size_; ++ky) {
       for (int kx = 0; kx < kernel_size_; ++kx) {
         float* row = columns +
@@ -71,7 +72,7 @@ void ConvTranspose2d::gather_columns(const Tensor& grad_output, int sample,
                                               kernel_size_ + kx) * cols;
         for (int iy = 0; iy < in_h; ++iy) {
           const int oy = iy * stride_ - padding_ + ky;
-          if (oy < 0 || oy >= out_h_) {
+          if (oy < 0 || oy >= out_h) {
             std::memset(row + static_cast<std::size_t>(iy) * in_w, 0,
                         static_cast<std::size_t>(in_w) * sizeof(float));
             continue;
@@ -79,8 +80,8 @@ void ConvTranspose2d::gather_columns(const Tensor& grad_output, int sample,
           for (int ix = 0; ix < in_w; ++ix) {
             const int ox = ix * stride_ - padding_ + kx;
             row[static_cast<std::size_t>(iy) * in_w + ix] =
-                (ox >= 0 && ox < out_w_)
-                    ? grad_output.at4(sample, oc, oy, ox)
+                (ox >= 0 && ox < out_w)
+                    ? plane[static_cast<std::size_t>(oy) * out_w + ox]
                     : 0.0f;
           }
         }
@@ -89,60 +90,66 @@ void ConvTranspose2d::gather_columns(const Tensor& grad_output, int sample,
   }
 }
 
-Tensor ConvTranspose2d::forward(const Tensor& input, bool /*training*/) {
-  require(input.rank() == 4 && input.dim(1) == in_channels_,
+SampleShape ConvTranspose2d::eval_shape(const SampleShape& in) const {
+  require(!in.flat && in.c == in_channels_,
           "ConvTranspose2d::forward: bad input shape");
-  cached_input_ = input;
-  const int N = input.dim(0);
-  out_h_ = output_size(input.dim(2));
-  out_w_ = output_size(input.dim(3));
-  require(out_h_ > 0 && out_w_ > 0,
+  const SampleShape out{out_channels_, output_size(in.h), output_size(in.w)};
+  require(out.h > 0 && out.w > 0,
           "ConvTranspose2d::forward: output collapsed");
+  return out;
+}
 
+std::size_t ConvTranspose2d::eval_scratch(const SampleShape& in) const {
+  return static_cast<std::size_t>(out_channels_) * kernel_size_ *
+         kernel_size_ * in.plane();
+}
+
+void ConvTranspose2d::eval_sample(const float* in,
+                                  const SampleShape& in_shape, float* out,
+                                  float* scratch) const {
   const int fan_out = out_channels_ * kernel_size_ * kernel_size_;
-  const int cols = input.dim(2) * input.dim(3);
-  const int out_cols = out_h_ * out_w_;
-  Tensor output({N, out_channels_, out_h_, out_w_});
-  // Samples write disjoint output slices, so the batch loop parallelizes
-  // with bit-identical results; the column scratch is per-chunk.
-  runtime::parallel_for_chunks(
-      static_cast<std::size_t>(N), 1,
-      [&](std::size_t n_begin, std::size_t n_end) {
-        runtime::PooledVector<float> columns =
-            runtime::Workspace::this_thread().vec_f32_uninit(
-                static_cast<std::size_t>(fan_out) * cols);
-        for (std::size_t n = n_begin; n < n_end; ++n) {
-          // col = W^T * x   (W is [in_c, fan_out], x is [in_c, cols])
-          std::memset(columns.data(), 0, columns.size() * sizeof(float));
-          const float* x = input.data() +
-                           n * static_cast<std::size_t>(in_channels_) * cols;
-          gemm_at_b_accumulate(weight_.value.data(), x, columns.data(),
-                               fan_out, in_channels_, cols);
-          float* out = output.data() +
-                       n * static_cast<std::size_t>(out_channels_) * out_cols;
-          if (has_bias_) {
-            for (int oc = 0; oc < out_channels_; ++oc) {
-              const float b = bias_.value[static_cast<std::size_t>(oc)];
-              float* channel = out + static_cast<std::size_t>(oc) * out_cols;
-              for (int i = 0; i < out_cols; ++i) channel[i] = b;
-            }
-          } else {
-            std::memset(out, 0,
-                        static_cast<std::size_t>(out_channels_) * out_cols *
-                            sizeof(float));
-          }
-          scatter_columns(columns.data(), output, static_cast<int>(n));
-        }
-      });
+  const int cols = in_shape.h * in_shape.w;
+  const int out_h = output_size(in_shape.h);
+  const int out_w = output_size(in_shape.w);
+  const int out_cols = out_h * out_w;
+  // col = W^T * x   (W is [in_c, fan_out], x is [in_c, cols])
+  std::memset(scratch, 0,
+              static_cast<std::size_t>(fan_out) * cols * sizeof(float));
+  gemm_at_b_accumulate(weight_.value.data(), in, scratch, fan_out,
+                       in_channels_, cols);
+  if (has_bias_) {
+    for (int oc = 0; oc < out_channels_; ++oc) {
+      const float b = bias_.value[static_cast<std::size_t>(oc)];
+      float* channel = out + static_cast<std::size_t>(oc) * out_cols;
+      for (int i = 0; i < out_cols; ++i) channel[i] = b;
+    }
+  } else {
+    std::memset(out, 0,
+                static_cast<std::size_t>(out_channels_) * out_cols *
+                    sizeof(float));
+  }
+  scatter_columns(scratch, in_shape.h, in_shape.w, out_h, out_w, out);
+}
+
+Tensor ConvTranspose2d::forward(const Tensor& input, bool training) {
+  Tensor output = forward_eval(input);
+  if (training) cached_input_ = input;
   return output;
 }
 
 Tensor ConvTranspose2d::backward(const Tensor& grad_output) {
+  require(cached_input_.rank() == 4,
+          "ConvTranspose2d::backward: no training-mode forward to "
+          "differentiate");
   const int N = cached_input_.dim(0);
+  const int in_h = cached_input_.dim(2);
+  const int in_w = cached_input_.dim(3);
+  const int out_h = output_size(in_h);
+  const int out_w = output_size(in_w);
   const int fan_out = out_channels_ * kernel_size_ * kernel_size_;
-  const int cols = cached_input_.dim(2) * cached_input_.dim(3);
+  const int cols = in_h * in_w;
   require(grad_output.rank() == 4 && grad_output.dim(1) == out_channels_ &&
-              grad_output.dim(2) == out_h_ && grad_output.dim(3) == out_w_,
+              grad_output.dim(2) == out_h && grad_output.dim(3) == out_w,
           "ConvTranspose2d::backward: bad gradient shape");
 
   Tensor grad_input(cached_input_.shape());
@@ -158,9 +165,11 @@ Tensor ConvTranspose2d::backward(const Tensor& grad_output) {
   // weight_.grad / bias_.grad, and a per-thread grad copy + ordered merge
   // would not reproduce the serial accumulation order bit-for-bit. The
   // GEMMs inside still parallelize their independent row ranges.
-  const int out_cols = out_h_ * out_w_;
+  const int out_cols = out_h * out_w;
   for (int n = 0; n < N; ++n) {
-    gather_columns(grad_output, n, grad_columns.data());
+    gather_columns(grad_output.data() +
+                       static_cast<std::size_t>(n) * out_channels_ * out_cols,
+                   in_h, in_w, out_h, out_w, grad_columns.data());
     const float* x = cached_input_.data() +
                      static_cast<std::size_t>(n) * in_channels_ * cols;
     // dW += x * gcol^T   (x is [in_c, cols], gcol is [fan_out, cols])

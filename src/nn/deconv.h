@@ -21,6 +21,12 @@ class ConvTranspose2d : public Layer {
   std::vector<Parameter*> parameters() override;
   std::string name() const override { return "conv_transpose2d"; }
 
+  SampleShape eval_shape(const SampleShape& in) const override;
+  /// The column matrix: [out_c * k * k, in_h * in_w].
+  std::size_t eval_scratch(const SampleShape& in) const override;
+  void eval_sample(const float* in, const SampleShape& in_shape, float* out,
+                   float* scratch) const override;
+
   int in_channels() const { return in_channels_; }
   int out_channels() const { return out_channels_; }
 
@@ -34,14 +40,15 @@ class ConvTranspose2d : public Layer {
 
  private:
   // Both helpers use the same column layout as Conv2d's im2col —
-  // columns[(oc * k + ky) * k + kx][ih * in_w + ix] — with the deconv
-  // coordinate map oy = ih * stride - padding + ky. scatter_columns adds
-  // columns into the (larger) output plane; gather_columns reads the
-  // upstream gradient back into columns (zeroing out-of-bounds taps).
-  void scatter_columns(const float* columns, Tensor& output,
-                       int sample) const;
-  void gather_columns(const Tensor& grad_output, int sample,
-                      float* columns) const;
+  // columns[(oc * k + ky) * k + kx][iy * in_w + ix] — with the deconv
+  // coordinate map oy = iy * stride - padding + ky, over one sample's
+  // [out_c, out_h, out_w] planes. scatter_columns adds columns into the
+  // (larger) output planes; gather_columns reads the upstream gradient
+  // back into columns (zeroing out-of-bounds taps).
+  void scatter_columns(const float* columns, int in_h, int in_w, int out_h,
+                       int out_w, float* planes) const;
+  void gather_columns(const float* planes, int in_h, int in_w, int out_h,
+                      int out_w, float* columns) const;
 
   int in_channels_;
   int out_channels_;
@@ -52,9 +59,7 @@ class ConvTranspose2d : public Layer {
   Parameter weight_;  ///< [in_c, out_c * k * k]
   Parameter bias_;    ///< [out_c] (empty when bias disabled)
 
-  Tensor cached_input_;
-  int out_h_ = 0;
-  int out_w_ = 0;
+  Tensor cached_input_;  ///< last training-mode input
 };
 
 }  // namespace ldmo::nn

@@ -14,6 +14,9 @@ constexpr int kBlock = 64;  // fits three blocks in L1/L2 comfortably
 // measured crossover is ~64^3 on the bench machine, we gate conservatively.
 constexpr long long kParallelFlops = 1LL << 18;
 
+// Rows shorter than this are cheaper inline than through the kernel table.
+constexpr int kShortRow = 16;
+
 }  // namespace
 
 void gemm_accumulate(const float* a, const float* b, float* c, int m, int k,
@@ -48,7 +51,9 @@ void gemm(const float* a, const float* b, float* c, int m, int k, int n) {
 
 void gemm_at_b_accumulate(const float* a, const float* b, float* c, int m,
                           int k, int n) {
-  // C[i][j] += sum_p A[p][i] * B[p][j]
+  // C[i][j] += sum_p A[p][i] * B[p][j]. Short rows (the small maps of deep
+  // conv layers) skip the kernel call: its multiply-then-add per element
+  // is the same arithmetic as the inline loop.
   const kernels::KernelTable& kt = kernels::table();
   for (int p = 0; p < k; ++p) {
     const float* arow = a + static_cast<std::size_t>(p) * m;
@@ -56,7 +61,12 @@ void gemm_at_b_accumulate(const float* a, const float* b, float* c, int m,
     for (int i = 0; i < m; ++i) {
       const float av = arow[i];
       if (av == 0.0f) continue;
-      kt.axpy_f32(av, brow, c + static_cast<std::size_t>(i) * n, n);
+      float* crow = c + static_cast<std::size_t>(i) * n;
+      if (n < kShortRow) {
+        for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
+      } else {
+        kt.axpy_f32(av, brow, crow, n);
+      }
     }
   }
 }

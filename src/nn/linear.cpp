@@ -1,5 +1,6 @@
 #include "nn/linear.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -18,22 +19,30 @@ Linear::Linear(int in_features, int out_features, Rng& rng)
     weight_.value[i] = static_cast<float>(rng.normal(0.0, stddev));
 }
 
-Tensor Linear::forward(const Tensor& input, bool /*training*/) {
-  require(input.rank() == 2 && input.dim(1) == in_features_,
-          "Linear::forward: bad input shape");
-  cached_input_ = input;
-  const int N = input.dim(0);
-  Tensor output({N, out_features_});
-  // y = x W^T: use gemm_a_bt with A = x [N x in], B = W [out x in].
-  gemm_a_bt_accumulate(input.data(), weight_.value.data(), output.data(), N,
-                       in_features_, out_features_);
-  for (int n = 0; n < N; ++n)
-    for (int f = 0; f < out_features_; ++f)
-      output.at2(n, f) += bias_.value[static_cast<std::size_t>(f)];
+SampleShape Linear::eval_shape(const SampleShape& in) const {
+  require(in.flat && in.c == in_features_, "Linear::forward: bad input shape");
+  return {out_features_, 1, 1, true};
+}
+
+void Linear::eval_sample(const float* in, const SampleShape& /*in_shape*/,
+                         float* out, float* /*scratch*/) const {
+  // y = x W^T + b: one row of gemm_a_bt with A = x [1 x in], B = W.
+  std::fill(out, out + out_features_, 0.0f);
+  gemm_a_bt_accumulate(in, weight_.value.data(), out, 1, in_features_,
+                       out_features_);
+  for (int f = 0; f < out_features_; ++f)
+    out[f] += bias_.value[static_cast<std::size_t>(f)];
+}
+
+Tensor Linear::forward(const Tensor& input, bool training) {
+  Tensor output = forward_eval(input);
+  if (training) cached_input_ = input;
   return output;
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {
+  require(cached_input_.rank() == 2,
+          "Linear::backward: no training-mode forward to differentiate");
   const int N = cached_input_.dim(0);
   require(grad_output.rank() == 2 && grad_output.dim(0) == N &&
               grad_output.dim(1) == out_features_,

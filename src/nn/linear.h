@@ -15,6 +15,10 @@ class Linear : public Layer {
   std::vector<Parameter*> parameters() override;
   std::string name() const override { return "linear"; }
 
+  SampleShape eval_shape(const SampleShape& in) const override;
+  void eval_sample(const float* in, const SampleShape& in_shape, float* out,
+                   float* scratch) const override;
+
   int in_features() const { return in_features_; }
   int out_features() const { return out_features_; }
   Parameter& weight() { return weight_; }
@@ -25,7 +29,7 @@ class Linear : public Layer {
   int out_features_;
   Parameter weight_;  ///< [out, in]
   Parameter bias_;    ///< [out]
-  Tensor cached_input_;
+  Tensor cached_input_;  ///< last training-mode input
 };
 
 }  // namespace ldmo::nn

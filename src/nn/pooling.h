@@ -15,11 +15,21 @@ class MaxPool2d : public Layer {
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "maxpool2d"; }
 
+  SampleShape eval_shape(const SampleShape& in) const override;
+  void eval_sample(const float* in, const SampleShape& in_shape, float* out,
+                   float* scratch) const override;
+
   int output_size(int input_size) const {
     return (input_size + 2 * padding_ - kernel_size_) / stride_ + 1;
   }
 
  private:
+  /// Pools one [height, width] plane into [out_h, out_w]. With `argmax`,
+  /// also records each window's winner as `base` + its index in the plane
+  /// (-1 for a window that lies entirely in the padding).
+  void pool_plane(const float* in, int height, int width, int out_h,
+                  int out_w, float* out, int* argmax, int base) const;
+
   int kernel_size_;
   int stride_;
   int padding_;
@@ -33,6 +43,10 @@ class GlobalAvgPool : public Layer {
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "gap"; }
+
+  SampleShape eval_shape(const SampleShape& in) const override;
+  void eval_sample(const float* in, const SampleShape& in_shape, float* out,
+                   float* scratch) const override;
 
  private:
   std::vector<int> input_shape_;

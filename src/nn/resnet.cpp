@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.h"
 #include "common/failpoint.h"
@@ -22,6 +23,7 @@ BasicBlock::BasicBlock(int in_channels, int out_channels, int stride,
 }
 
 Tensor BasicBlock::forward(const Tensor& input, bool training) {
+  if (!training) return forward_eval(input);
   Tensor main = bn1_.forward(conv1_.forward(input, training), training);
   main = relu1_.forward(main, training);
   main = bn2_.forward(conv2_.forward(main, training), training);
@@ -35,6 +37,52 @@ Tensor BasicBlock::forward(const Tensor& input, bool training) {
   Tensor sum(main.shape());
   for (std::size_t i = 0; i < sum.size(); ++i) sum[i] = main[i] + shortcut[i];
   return relu_out_.forward(sum, training);
+}
+
+SampleShape BasicBlock::eval_shape(const SampleShape& in) const {
+  const SampleShape main =
+      bn2_.eval_shape(conv2_.eval_shape(bn1_.eval_shape(conv1_.eval_shape(in))));
+  const SampleShape shortcut =
+      shortcut_conv_
+          ? shortcut_bn_->eval_shape(shortcut_conv_->eval_shape(in))
+          : in;
+  require(main == shortcut, "BasicBlock: path shape mismatch");
+  return main;
+}
+
+std::size_t BasicBlock::eval_scratch(const SampleShape& in) const {
+  const SampleShape mid = conv1_.eval_shape(in);
+  std::size_t conv = std::max(conv1_.eval_scratch(in),
+                              conv2_.eval_scratch(mid));
+  std::size_t buffers = mid.size();
+  if (shortcut_conv_) {
+    conv = std::max(conv, shortcut_conv_->eval_scratch(in));
+    buffers += mid.size();
+  }
+  return buffers + conv;
+}
+
+void BasicBlock::eval_sample(const float* in, const SampleShape& in_shape,
+                             float* out, float* scratch) const {
+  const SampleShape mid = conv1_.eval_shape(in_shape);
+  const std::size_t n = mid.size();
+  float* main = scratch;
+  float* conv_scratch = scratch + (shortcut_conv_ ? 2 * n : n);
+
+  conv1_.eval_sample(in, in_shape, main, conv_scratch);
+  bn1_.eval_sample(main, mid, main, nullptr);
+  relu1_.eval_sample(main, mid, main, nullptr);
+  conv2_.eval_sample(main, mid, out, conv_scratch);
+  bn2_.eval_sample(out, mid, out, nullptr);
+  const float* shortcut = in;
+  if (shortcut_conv_) {
+    float* projected = scratch + n;
+    shortcut_conv_->eval_sample(in, in_shape, projected, conv_scratch);
+    shortcut_bn_->eval_sample(projected, mid, projected, nullptr);
+    shortcut = projected;
+  }
+  for (std::size_t i = 0; i < n; ++i) out[i] = out[i] + shortcut[i];
+  relu_out_.eval_sample(out, mid, out, nullptr);
 }
 
 Tensor BasicBlock::backward(const Tensor& grad_output) {
@@ -109,13 +157,22 @@ ResNetRegressor::ResNetRegressor(ResNetConfig config) : config_(config) {
   net_.emplace<Linear>(fc, 1, rng);
 }
 
+namespace {
+
+// Throws unless `images` is an [N, 1, size, size] batch.
+void require_images(const Tensor& images, int size) {
+  if (images.rank() == 4 && images.dim(1) == 1 && images.dim(2) == size &&
+      images.dim(3) == size)
+    return;
+  const std::string side = std::to_string(size);
+  require(false,
+          "ResNetRegressor: expected [N, 1, " + side + ", " + side + "] input");
+}
+
+}  // namespace
+
 Tensor ResNetRegressor::forward(const Tensor& images, bool training) {
-  require(images.rank() == 4 && images.dim(1) == 1 &&
-              images.dim(2) == config_.input_size &&
-              images.dim(3) == config_.input_size,
-          "ResNetRegressor: expected [N, 1, " +
-              std::to_string(config_.input_size) + ", " +
-              std::to_string(config_.input_size) + "] input");
+  require_images(images, config_.input_size);
   fail::maybe_fail("nn.forward", FlowStage::kPredict);
   return net_.forward(images, training);
 }
@@ -124,10 +181,20 @@ Tensor ResNetRegressor::backward(const Tensor& grad_scores) {
   return net_.backward(grad_scores);
 }
 
-double ResNetRegressor::predict_one(const Tensor& image) {
-  Tensor batch = image.reshaped({1, 1, config_.input_size, config_.input_size});
-  const Tensor score = forward(batch, /*training=*/false);
-  return static_cast<double>(score[0]);
+std::vector<float> ResNetRegressor::predict(const float* images,
+                                            std::size_t count) const {
+  fail::maybe_fail("nn.forward", FlowStage::kPredict);
+  std::vector<float> scores(count);
+  eval_batch(net_, images, {1, config_.input_size, config_.input_size},
+             count, scores.data());
+  return scores;
+}
+
+double ResNetRegressor::predict_one(const Tensor& image) const {
+  const std::size_t side = static_cast<std::size_t>(config_.input_size);
+  require(image.size() == side * side,
+          "ResNetRegressor::predict_one: image size mismatch");
+  return static_cast<double>(predict(image.data(), 1).front());
 }
 
 std::size_t ResNetRegressor::parameter_count() {

@@ -31,6 +31,15 @@ class BasicBlock : public Layer {
   std::vector<Parameter*> parameters() override;
   std::string name() const override { return "basic_block"; }
 
+  SampleShape eval_shape(const SampleShape& in) const override;
+  /// The main path's intermediate, the shortcut's output (projection
+  /// blocks only) and the largest conv scratch.
+  std::size_t eval_scratch(const SampleShape& in) const override;
+  /// ReLU(bn2(conv2(ReLU(bn1(conv1(x))))) + shortcut(x)), with BatchNorm,
+  /// ReLU and the residual add run in place on `out`.
+  void eval_sample(const float* in, const SampleShape& in_shape, float* out,
+                   float* scratch) const override;
+
  private:
   Conv2d conv1_;
   BatchNorm2d bn1_;
@@ -68,16 +77,26 @@ class ResNetRegressor {
 
   const ResNetConfig& config() const { return config_; }
 
-  /// [N, 1, S, S] images -> [N, 1] scores.
+  /// [N, 1, S, S] images -> [N, 1] scores. Eval mode runs the same
+  /// per-sample kernels as predict().
   Tensor forward(const Tensor& images, bool training);
 
-  /// Backpropagates d(loss)/d(scores); accumulates parameter gradients.
+  /// Backpropagates d(loss)/d(scores) of the last training-mode forward;
+  /// accumulates parameter gradients.
   Tensor backward(const Tensor& grad_scores);
 
   std::vector<Parameter*> parameters() { return net_.parameters(); }
 
-  /// Convenience: scalar score of one image (eval mode, batch of one).
-  double predict_one(const Tensor& image);
+  /// Eval-mode scores of `count` S x S images stored back to back
+  /// (count * S * S floats at `images`): the whole network runs on each
+  /// image inside one task (eval_batch), on buffers from the task thread's
+  /// workspace. Const and allocation-free apart from the returned vector;
+  /// safe to call from several threads at once. Each score is independent
+  /// of `count`, of the other images and of the thread count.
+  std::vector<float> predict(const float* images, std::size_t count) const;
+
+  /// Scalar score of one [1, S, S] (or [S, S]) image through predict().
+  double predict_one(const Tensor& image) const;
 
   /// Total trainable scalar count (diagnostic).
   std::size_t parameter_count();

@@ -113,7 +113,7 @@ std::vector<EpochStats> train_regressor(
   return history;
 }
 
-double evaluate_mae(ResNetRegressor& model,
+double evaluate_mae(const ResNetRegressor& model,
                     const std::vector<Example>& examples) {
   require(!examples.empty(), "evaluate_mae: no examples");
   double sum = 0.0;

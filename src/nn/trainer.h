@@ -56,7 +56,7 @@ std::vector<EpochStats> train_regressor(
     const std::function<void(const EpochStats&)>& on_epoch = nullptr);
 
 /// Mean absolute error of the model over a labeled set (eval mode).
-double evaluate_mae(ResNetRegressor& model,
+double evaluate_mae(const ResNetRegressor& model,
                     const std::vector<Example>& examples);
 
 }  // namespace ldmo::nn

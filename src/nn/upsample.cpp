@@ -6,27 +6,29 @@
 
 namespace ldmo::nn {
 
-Tensor Upsample2x::forward(const Tensor& input, bool /*training*/) {
-  require(input.rank() == 4, "Upsample2x::forward: expects NCHW input");
-  input_shape_ = input.shape();
-  const int N = input.dim(0);
-  const int C = input.dim(1);
-  const int H = input.dim(2);
-  const int W = input.dim(3);
-  Tensor output({N, C, 2 * H, 2 * W});
-  for (int n = 0; n < N; ++n) {
-    for (int c = 0; c < C; ++c) {
-      for (int y = 0; y < H; ++y) {
-        for (int x = 0; x < W; ++x) {
-          const float v = input.at4(n, c, y, x);
-          output.at4(n, c, 2 * y, 2 * x) = v;
-          output.at4(n, c, 2 * y, 2 * x + 1) = v;
-          output.at4(n, c, 2 * y + 1, 2 * x) = v;
-          output.at4(n, c, 2 * y + 1, 2 * x + 1) = v;
-        }
-      }
+SampleShape Upsample2x::eval_shape(const SampleShape& in) const {
+  require(!in.flat, "Upsample2x::forward: expects NCHW input");
+  return {in.c, 2 * in.h, 2 * in.w};
+}
+
+void Upsample2x::eval_sample(const float* in, const SampleShape& in_shape,
+                             float* out, float* /*scratch*/) const {
+  const int W = in_shape.w;
+  const std::size_t rows = static_cast<std::size_t>(in_shape.c) * in_shape.h;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* src = in + r * W;
+    float* top = out + 2 * r * (2 * W);
+    float* bottom = top + 2 * W;
+    for (int x = 0; x < W; ++x) {
+      top[2 * x] = top[2 * x + 1] = src[x];
+      bottom[2 * x] = bottom[2 * x + 1] = src[x];
     }
   }
+}
+
+Tensor Upsample2x::forward(const Tensor& input, bool training) {
+  Tensor output = forward_eval(input);
+  if (training) input_shape_ = input.shape();
   return output;
 }
 

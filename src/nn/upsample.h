@@ -15,6 +15,10 @@ class Upsample2x : public Layer {
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "upsample2x"; }
 
+  SampleShape eval_shape(const SampleShape& in) const override;
+  void eval_sample(const float* in, const SampleShape& in_shape, float* out,
+                   float* scratch) const override;
+
  private:
   std::vector<int> input_shape_;
 };

@@ -1,13 +1,20 @@
 // Cross-request inference batching.
 //
 // The flow's predict phase scores every candidate of one layout in one
-// score_batch call. Under concurrent serving, many dispatchers hit that
-// phase at overlapping times with small candidate lists; scoring each list
-// solo leaves the CNN's fixed-size inference batches mostly empty. The
-// InferenceBatcher coalesces: concurrent score() calls join an open batch,
-// the first joiner (the leader) flushes it through the backend's
-// score_batch_multi once the batch holds enough candidates or a flush
-// timeout expires, and every joiner wakes with exactly its own scores.
+// score_batch call, and the backend is entered one call at a time. Under
+// concurrent serving, many dispatchers hit that phase at overlapping
+// times. The InferenceBatcher coalesces: concurrent score() calls join an
+// open batch, the first joiner (the leader) flushes it through the
+// backend's score_batch_multi, and every joiner wakes with exactly its
+// own scores.
+//
+// When to flush: the CNN runs one task per candidate, so a flush needs
+// no minimum size to use the thread pool, and waiting only adds latency.
+// By default (flush_candidates = 1) the leader flushes as soon as the
+// backend is free; requests that arrive while a flush holds the backend
+// join the next batch, so coalescing still happens under load. A larger
+// flush_candidates makes the leader wait up to flush_timeout_ms for that
+// many candidates.
 //
 // Determinism: score_batch_multi is REQUIRED (predictor.h) to return
 // bit-identical scores to a solo score_batch per job, so coalescing never
@@ -35,8 +42,9 @@ struct BatcherConfig {
   /// Disabled = every score() goes straight to the backend (still
   /// serialized); the serve-bench --no-batch baseline.
   bool enabled = true;
-  /// Flush as soon as the open batch holds this many candidates.
-  int flush_candidates = 16;
+  /// Flush as soon as the open batch holds this many candidates (and the
+  /// backend is free). 1: never wait for joiners.
+  int flush_candidates = 1;
   /// Flush a non-full batch this long after its first joiner arrived.
   double flush_timeout_ms = 2.0;
 };

@@ -11,6 +11,7 @@
 
 #include "common/error.h"
 #include "common/hash.h"
+#include "common/rng.h"
 #include "core/baseline_flows.h"
 #include "core/flow_engine.h"
 #include "core/ldmo_flow.h"
@@ -18,6 +19,7 @@
 #include "kernels/kernels.h"
 #include "layout/generator.h"
 #include "mpl/baselines.h"
+#include "mpl/decomposition_generator.h"
 #include "obs/json.h"
 
 #include "backend_sweep.h"
@@ -103,6 +105,57 @@ TEST(Predictors, CnnPredictorScoresAndSerializes) {
   other.load(path);
   EXPECT_DOUBLE_EQ(other.score(l, a), s1);
   std::remove(path.c_str());
+}
+
+// A seeded 64-px network with every parameter nudged off its
+// initialization and BatchNorm running statistics moved by three
+// training-mode forwards, so eval-mode BatchNorm sees gamma != 1,
+// beta != 0, mean != 0 and var != 1: a reassociated eval formula shows.
+std::unique_ptr<nn::ResNetRegressor> perturbed_network() {
+  auto net = std::make_unique<nn::ResNetRegressor>();
+  std::size_t k = 0;
+  for (nn::Parameter* p : net->parameters())
+    for (std::size_t i = 0; i < p->value.size(); ++i, ++k)
+      p->value[i] += 0.01f * static_cast<float>(static_cast<int>(k % 13) - 6);
+  Rng rng(41);
+  const nn::Tensor batch = nn::Tensor::randn({4, 1, 64, 64}, rng, 0.5f);
+  for (int i = 0; i < 3; ++i) (void)net->forward(batch, /*training=*/true);
+  return net;
+}
+
+TEST(Predictors, CnnScoreBatchMatchesPinnedDigests) {
+  // FNV-1a over the bits of every score of one clip's candidates, per
+  // backend, recorded with the batch-at-a-time Tensor forward (fixed
+  // batches of 16, so this clip's 17th candidate and on ran as a second
+  // batch). Per-sample whole-network inference must reproduce every bit.
+  // The dot-product reduction is lane-parallel on SIMD backends, so each
+  // backend has its own digest.
+  BackendGuard guard;
+  const layout::Layout l = test_layout(23);
+  const std::vector<layout::Assignment> candidates =
+      mpl::generate_decompositions(l).candidates;
+  ASSERT_GT(candidates.size(), 16u);
+  CnnPredictor predictor(perturbed_network());
+  struct Pin {
+    kernels::Backend backend;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {kernels::Backend::kGeneric, 0xc38036e86711d382ull},
+      {kernels::Backend::kAvx2, 0x368355794a950d08ull},
+      {kernels::Backend::kAvx512, 0x33ad24be659b61b8ull},
+  };
+  for (kernels::Backend backend : testutil::usable_backends()) {
+    kernels::select(backend);
+    common::Fnv1a hash;
+    for (double s : predictor.score_batch(l, candidates)) hash.f64(s);
+    const Pin* pin = nullptr;
+    for (const Pin& p : pins)
+      if (p.backend == backend) pin = &p;
+    if (pin == nullptr) continue;  // no digest recorded for this backend
+    EXPECT_EQ(hash.digest(), pin->digest)
+        << kernels::to_string(backend) << " 0x" << std::hex << hash.digest();
+  }
 }
 
 TEST(LdmoFlowTest, ProducesMasksAndTiming) {

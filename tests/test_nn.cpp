@@ -4,14 +4,18 @@
 // to actually fit data.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.h"
 #include "common/failpoint.h"
+#include "common/hash.h"
+#include "kernels/kernels.h"
 #include "nn/batchnorm.h"
 #include "nn/conv.h"
 #include "nn/deconv.h"
@@ -24,6 +28,8 @@
 #include "nn/serialize.h"
 #include "nn/trainer.h"
 #include "nn/upsample.h"
+
+#include "backend_sweep.h"
 
 namespace ldmo::nn {
 namespace {
@@ -597,6 +603,46 @@ TEST(Trainer, BackToBackRoundsSeeIdenticalLrSchedules) {
   EXPECT_DOUBLE_EQ(optimizer.config().learning_rate, base_lr);
 }
 
+TEST(Trainer, ShortRunMatchesPinnedWeightDigests) {
+  // FNV-1a over every parameter's bytes after two epochs of batch-4
+  // training, per backend, recorded with the at4-indexed training loops.
+  // The training forward and backward must reproduce every bit. The
+  // dot-product reduction is lane-parallel on SIMD backends, so each
+  // backend has its own digest.
+  testutil::BackendGuard guard;
+  struct Pin {
+    kernels::Backend backend;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {kernels::Backend::kGeneric, 0xfbc0ce6e1b3911f2ull},
+      {kernels::Backend::kAvx2, 0xb32f7f0e9cf30401ull},
+      {kernels::Backend::kAvx512, 0xf2721f71de295d0bull},
+  };
+  for (kernels::Backend backend : testutil::usable_backends()) {
+    kernels::select(backend);
+    ResNetRegressor net(tiny_config());
+    Rng rng(29);
+    std::vector<Example> data;
+    for (int i = 0; i < 8; ++i)
+      data.push_back({Tensor::randn({1, 32, 32}, rng, 0.5f),
+                      0.25f * static_cast<float>(i) - 1.0f});
+    TrainerConfig cfg;
+    cfg.epochs = 2;
+    cfg.batch_size = 4;
+    (void)train_regressor(net, data, cfg);
+    common::Fnv1a hash;
+    for (const Parameter* p : net.parameters())
+      hash.bytes(p->value.data(), p->value.size() * sizeof(float));
+    const Pin* pin = nullptr;
+    for (const Pin& p : pins)
+      if (p.backend == backend) pin = &p;
+    if (pin == nullptr) continue;  // no digest recorded for this backend
+    EXPECT_EQ(hash.digest(), pin->digest)
+        << kernels::to_string(backend) << " 0x" << std::hex << hash.digest();
+  }
+}
+
 TEST(SequentialContainer, AggregatesParametersInOrder) {
   Rng rng(22);
   Sequential seq;
@@ -764,6 +810,120 @@ TEST(ResNet, ForwardFailpointThrowsTagged) {
   }
   fail::disarm_all();
   (void)net.forward(x, false);  // network unharmed
+}
+
+// predict() over an [N, 1, S, S] batch.
+std::vector<float> predict(const ResNetRegressor& net, const Tensor& images) {
+  return net.predict(images.data(), static_cast<std::size_t>(images.dim(0)));
+}
+
+TEST(ResNet, PredictFailpointThrowsTaggedAndLeavesNetworkIntact) {
+  fail::disarm_all();
+  const ResNetRegressor net(tiny_config());
+  Rng rng(8);
+  const Tensor x = Tensor::randn({3, 1, 32, 32}, rng);
+  const std::vector<float> before = predict(net, x);
+  fail::arm("nn.forward", fail::once());
+  try {
+    (void)predict(net, x);
+    FAIL() << "predict did not throw";
+  } catch (const FlowException& e) {
+    EXPECT_EQ(e.stage(), FlowStage::kPredict);
+  }
+  fail::disarm_all();
+  EXPECT_EQ(predict(net, x), before);
+}
+
+// ------------------------------------------------------------ inference --
+
+// tiny_config() with parameters nudged off their initialization and
+// BatchNorm running statistics moved by training-mode forwards, so every
+// term of the eval arithmetic is nontrivial.
+ResNetRegressor perturbed_tiny_network() {
+  ResNetRegressor net(tiny_config());
+  std::size_t k = 0;
+  for (Parameter* p : net.parameters())
+    for (std::size_t i = 0; i < p->value.size(); ++i, ++k)
+      p->value[i] += 0.01f * static_cast<float>(static_cast<int>(k % 13) - 6);
+  Rng rng(31);
+  const Tensor batch = Tensor::randn({4, 1, 32, 32}, rng, 0.5f);
+  for (int i = 0; i < 3; ++i) (void)net.forward(batch, /*training=*/true);
+  return net;
+}
+
+TEST(ResNet, PredictMatchesEvalForwardAndPredictOne) {
+  // forward(x, false), predict(x) and predict_one run the same per-sample
+  // kernels, so every score agrees bit for bit.
+  const ResNetRegressor net = perturbed_tiny_network();
+  ResNetRegressor same = perturbed_tiny_network();
+  Rng rng(32);
+  const Tensor x = Tensor::randn({5, 1, 32, 32}, rng, 0.5f);
+  const std::vector<float> scores = predict(net, x);
+  const Tensor y = same.forward(x, /*training=*/false);
+  ASSERT_EQ(scores.size(), 5u);
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    EXPECT_EQ(scores[i], y[i]) << "sample " << i;
+    Tensor image({1, 32, 32});
+    std::copy(x.data() + i * image.size(), x.data() + (i + 1) * image.size(),
+              image.data());
+    EXPECT_EQ(static_cast<double>(scores[i]), net.predict_one(image))
+        << "sample " << i;
+  }
+}
+
+TEST(ResNet, ConcurrentPredictOnOneNetworkMatchesSerial) {
+  // predict is const and keeps its activations in per-thread workspace
+  // buffers, so two threads may score on one network at once.
+  const ResNetRegressor net = perturbed_tiny_network();
+  Rng rng(33);
+  const Tensor a = Tensor::randn({6, 1, 32, 32}, rng, 0.5f);
+  const Tensor b = Tensor::randn({9, 1, 32, 32}, rng, 0.5f);
+  const std::vector<float> expect_a = predict(net, a);
+  const std::vector<float> expect_b = predict(net, b);
+  std::vector<float> got_a, got_b;
+  bool mismatch = false;
+  std::thread other([&] {
+    for (int round = 0; round < 5; ++round) {
+      got_b = predict(net, b);
+      if (got_b != expect_b) mismatch = true;
+    }
+  });
+  for (int round = 0; round < 5; ++round) {
+    got_a = predict(net, a);
+    EXPECT_EQ(got_a, expect_a) << "round " << round;
+  }
+  other.join();
+  EXPECT_FALSE(mismatch);
+  EXPECT_EQ(got_b, expect_b);
+}
+
+TEST(ResNet, EvalForwardBetweenTrainingForwardAndBackwardChangesNothing) {
+  // Eval kernels write no layer state: an eval forward on another input
+  // between a training forward and its backward leaves the gradients and
+  // the BatchNorm running statistics exactly as without it.
+  Rng rng(34);
+  const Tensor x = Tensor::randn({3, 1, 32, 32}, rng, 0.5f);
+  const Tensor other = Tensor::randn({2, 1, 32, 32}, rng, 0.5f);
+  Tensor grad({3, 1});
+  for (std::size_t i = 0; i < grad.size(); ++i)
+    grad[i] = 0.5f - static_cast<float>(i);
+
+  const auto gradients = [&](bool eval_in_between) {
+    ResNetRegressor net = perturbed_tiny_network();
+    for (Parameter* p : net.parameters()) p->zero_grad();
+    (void)net.forward(x, /*training=*/true);
+    if (eval_in_between) {
+      (void)net.forward(other, /*training=*/false);
+      (void)predict(net, other);
+    }
+    const Tensor grad_input = net.backward(grad);
+    std::vector<Tensor> out{grad_input};
+    for (Parameter* p : net.parameters()) out.push_back(p->grad);
+    // A second eval forward exposes the running statistics.
+    out.push_back(net.forward(other, /*training=*/false));
+    return out;
+  };
+  EXPECT_EQ(gradients(true), gradients(false));
 }
 
 }  // namespace

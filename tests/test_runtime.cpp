@@ -392,7 +392,7 @@ TEST(DeterminismTest, ScoreBatchMatchesSerialScoreLoop) {
   const layout::Layout layout = gen.generate(17);
   const std::size_t pats = static_cast<std::size_t>(layout.pattern_count());
   std::vector<layout::Assignment> candidates;
-  for (int c = 0; c < 20; ++c) {  // crosses one kBatch=16 boundary
+  for (int c = 0; c < 20; ++c) {  // more candidates than worker threads
     layout::Assignment a(pats, 0);
     for (std::size_t i = 0; i < pats; ++i)
       a[i] = static_cast<int>((i + static_cast<std::size_t>(c)) % 2);
@@ -408,6 +408,35 @@ TEST(DeterminismTest, ScoreBatchMatchesSerialScoreLoop) {
   ASSERT_EQ(batched.size(), looped.size());
   for (std::size_t i = 0; i < looped.size(); ++i)
     EXPECT_EQ(batched[i], looped[i]) << "candidate " << i;
+}
+
+TEST(DeterminismTest, PredictScoresIndependentOfThreadsAndBatchSize) {
+  // Whole-network inference runs one task per image; each score must be
+  // the image's solo score whatever the batch size and thread count.
+  nn::ResNetConfig ncfg;
+  ncfg.input_size = 32;
+  ncfg.width_multiplier = 0.125;
+  const nn::ResNetRegressor net(ncfg);
+  Rng rng(35);
+  const nn::Tensor images = nn::Tensor::randn({33, 1, 32, 32}, rng, 0.5f);
+  const std::size_t pixels = 32 * 32;
+
+  std::vector<float> solo;
+  {
+    ScopedThreads serial(1);
+    for (std::size_t i = 0; i < 33; ++i)
+      solo.push_back(net.predict(images.data() + i * pixels, 1).front());
+  }
+  for (int threads : {1, 4}) {
+    ScopedThreads scoped(threads);
+    for (std::size_t count : {1u, 12u, 17u, 33u}) {
+      const std::vector<float> scores = net.predict(images.data(), count);
+      ASSERT_EQ(scores.size(), count);
+      for (std::size_t i = 0; i < count; ++i)
+        EXPECT_EQ(scores[i], solo[i])
+            << threads << " threads, batch " << count << ", image " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -261,9 +261,9 @@ TEST(Batcher, ConcurrentScoresMatchSoloExactly) {
 }
 
 TEST(Batcher, CnnMultiJobFlushMatchesPerJobExactly) {
-  // The CNN path actually shares fixed-size inference batches across job
-  // boundaries — the strongest bit-identity case. Untrained (seeded)
-  // weights are fine: only determinism is under test.
+  // The CNN path scores every job's candidates in one parallel predict
+  // call — the strongest bit-identity case. Untrained (seeded) weights
+  // are fine: only determinism is under test.
   nn::ResNetConfig net_cfg;
   net_cfg.input_size = 32;
   net_cfg.blocks_per_stage = 1;
