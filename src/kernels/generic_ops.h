@@ -52,30 +52,8 @@ void bilinear_line_f64(const double* grid, int h, int w, double x0,
                        double* out);
 
 /// One bilinear sample with the clamped pixel-center convention (shared by
-/// every backend's scalar tail so all backends sample identically).
-inline double bilinear_one(const double* grid, int h, int w, double px,
-                           double py) {
-  double fx = px - 0.5;
-  if (fx < 0.0) fx = 0.0;
-  const double fx_max = static_cast<double>(w - 1);
-  if (fx > fx_max) fx = fx_max;
-  double fy = py - 0.5;
-  if (fy < 0.0) fy = 0.0;
-  const double fy_max = static_cast<double>(h - 1);
-  if (fy > fy_max) fy = fy_max;
-  int x0 = static_cast<int>(fx);
-  if (x0 > w - 1) x0 = w - 1;
-  int y0 = static_cast<int>(fy);
-  if (y0 > h - 1) y0 = h - 1;
-  const int x1 = x0 + 1 < w ? x0 + 1 : w - 1;
-  const int y1 = y0 + 1 < h ? y0 + 1 : h - 1;
-  const double tx = fx - x0;
-  const double ty = fy - y0;
-  const double* row0 = grid + static_cast<std::size_t>(y0) * w;
-  const double* row1 = grid + static_cast<std::size_t>(y1) * w;
-  const double bottom = row0[x0] * (1 - tx) + row0[x1] * tx;
-  const double top = row1[x0] * (1 - tx) + row1[x1] * tx;
-  return bottom * (1 - ty) + top * ty;
-}
+/// every backend's scalar tail so all backends sample identically). Out of
+/// line, so it is only ever compiled for the baseline ISA.
+double bilinear_one(const double* grid, int h, int w, double px, double py);
 
 }  // namespace ldmo::kernels::generic

@@ -10,7 +10,9 @@
 // pre-SIMD scalar code) plus AVX2 / AVX-512 / NEON translation units that
 // are compiled with per-file -march flags and registered only when both the
 // compiler and the running CPU support them, so one binary is safe on any
-// host.
+// host. The AVX2 and AVX-512 tables instantiate one width-generic source
+// (simd.h: each op written once against a per-ISA struct); NEON is
+// hand-written.
 //
 // Determinism contract (DESIGN.md §14): results are bit-identical within a
 // backend regardless of thread count. Across backends, the ops fall in two
@@ -22,8 +24,10 @@
 //   * approximate ops — lane-parallel sum reductions (dot_f32,
 //     loss_grad_f64, sq_diff_sum_f64), the vectorized exp inside
 //     sigmoid_affine_f64, and the vectorized sincos inside cis_f64. These
-//     differ from generic by O(1 ulp)-level rounding; tests pin per-backend
-//     determinism and generic-vs-SIMD tolerances.
+//     differ from generic by O(1 ulp)-level rounding. Each backend's lane
+//     order and the tail boundary past which exp/sincos fall back to libm
+//     are its own contract: tests pin every op's output bits per backend
+//     and generic-vs-SIMD tolerances.
 #pragma once
 
 #include <complex>

@@ -1,628 +1,21 @@
-// AVX2 kernel backend (256-bit: 4 doubles / 8 floats / 2 complex<double>).
+// AVX2 kernel backend: the width-generic kernels of simd.h at 256 bits
+// (4 doubles / 8 floats / 2 complex<double> per vector).
 //
-// Compiled with -mavx2 -ffp-contract=off in its own translation unit; the
-// rest of the binary never needs AVX2, so the table is only registered when
-// the running CPU reports the feature.
-//
-// Exactness: every op except the vectorized exp (sigmoid_affine_f64) and
-// the lane-parallel sum reductions (dot_f32 / loss_grad_f64 /
-// sq_diff_sum_f64) performs the same IEEE mul/add/sub sequence per element
-// as the generic backend — no FMA, no reassociation — so results are
-// bit-identical to generic (modulo the sign of zero in the first FFT
-// stage, which uses a direct add/sub instead of multiplying by the 1+0i
-// twiddle).
+// Built with -mavx2 -ffp-contract=off in its own translation unit; the
+// table is registered only when the running CPU reports AVX2.
 #include "kernels/kernels.h"
 
 #ifdef LDMO_KERNELS_AVX2
 
-#include <immintrin.h>
+#include "kernels/simd.h"
 
-#include <algorithm>
-#include <cstddef>
-
-#include "kernels/generic_ops.h"
-
-namespace ldmo::kernels {
-namespace {
-
-using generic::bilinear_one;
-
-// ---- vector exp for x <= 0 (Cody-Waite reduction + degree-12 Taylor) ----
-// Max observed relative error vs libm exp is ~2 ulp on [-708, 0]; inputs
-// below -708 flush to 0 (the sigmoid saturation regime).
-inline __m256d exp_le0_pd(__m256d x) {
-  const __m256d kLog2e = _mm256_set1_pd(1.4426950408889634074);
-  const __m256d kLn2Hi = _mm256_set1_pd(6.93147180369123816490e-01);
-  const __m256d kLn2Lo = _mm256_set1_pd(1.90821492927058770002e-10);
-  __m256d n = _mm256_round_pd(_mm256_mul_pd(x, kLog2e),
-                              _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  __m256d r = _mm256_sub_pd(x, _mm256_mul_pd(n, kLn2Hi));
-  r = _mm256_sub_pd(r, _mm256_mul_pd(n, kLn2Lo));
-  // Horner over Taylor coefficients 1/k!, k = 12 .. 0.
-  __m256d p = _mm256_set1_pd(2.08767569878680989792e-09);   // 1/12!
-  p = _mm256_add_pd(_mm256_mul_pd(p, r),
-                    _mm256_set1_pd(2.50521083854417187751e-08));  // 1/11!
-  p = _mm256_add_pd(_mm256_mul_pd(p, r),
-                    _mm256_set1_pd(2.75573192239858906526e-07));  // 1/10!
-  p = _mm256_add_pd(_mm256_mul_pd(p, r),
-                    _mm256_set1_pd(2.75573192239858925110e-06));  // 1/9!
-  p = _mm256_add_pd(_mm256_mul_pd(p, r),
-                    _mm256_set1_pd(2.48015873015873015873e-05));  // 1/8!
-  p = _mm256_add_pd(_mm256_mul_pd(p, r),
-                    _mm256_set1_pd(1.98412698412698412698e-04));  // 1/7!
-  p = _mm256_add_pd(_mm256_mul_pd(p, r),
-                    _mm256_set1_pd(1.38888888888888888889e-03));  // 1/6!
-  p = _mm256_add_pd(_mm256_mul_pd(p, r),
-                    _mm256_set1_pd(8.33333333333333333333e-03));  // 1/5!
-  p = _mm256_add_pd(_mm256_mul_pd(p, r),
-                    _mm256_set1_pd(4.16666666666666666667e-02));  // 1/4!
-  p = _mm256_add_pd(_mm256_mul_pd(p, r),
-                    _mm256_set1_pd(1.66666666666666666667e-01));  // 1/3!
-  p = _mm256_add_pd(_mm256_mul_pd(p, r), _mm256_set1_pd(0.5));
-  p = _mm256_add_pd(_mm256_mul_pd(p, r), _mm256_set1_pd(1.0));
-  p = _mm256_add_pd(_mm256_mul_pd(p, r), _mm256_set1_pd(1.0));
-  // Scale by 2^n through the exponent bits (n in [-1074, 0] here; lanes
-  // whose n underflows the exponent field are flushed below anyway).
-  __m128i n32 = _mm256_cvtpd_epi32(n);
-  __m256i n64 = _mm256_cvtepi32_epi64(n32);
-  __m256i bits =
-      _mm256_slli_epi64(_mm256_add_epi64(n64, _mm256_set1_epi64x(1023)), 52);
-  __m256d result = _mm256_mul_pd(p, _mm256_castsi256_pd(bits));
-  const __m256d ok = _mm256_cmp_pd(x, _mm256_set1_pd(-708.0), _CMP_GT_OQ);
-  return _mm256_and_pd(result, ok);
-}
-
-// ---- vector sincos (Cody-Waite pi/2 reduction + Taylor on [-pi/4, pi/4]) --
-// Three-part reduction keeps the reduced argument accurate to ~1e-21 * n,
-// so absolute error vs libm stays ~1e-14 for |x| < 1e6 — far beyond the
-// defocus phases this feeds (|phi| < ~1e3).
-inline void sincos_pd(__m256d x, __m256d* s_out, __m256d* c_out) {
-  const __m256d kTwoOverPi = _mm256_set1_pd(6.36619772367581382433e-01);
-  const __m256d kPio2Hi = _mm256_set1_pd(1.57079632673412561417e+00);
-  const __m256d kPio2Mid = _mm256_set1_pd(6.07710050630396597660e-11);
-  const __m256d kPio2Lo = _mm256_set1_pd(2.02226624871116645580e-21);
-  const __m256d n = _mm256_round_pd(
-      _mm256_mul_pd(x, kTwoOverPi),
-      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  __m256d r = _mm256_sub_pd(x, _mm256_mul_pd(n, kPio2Hi));
-  r = _mm256_sub_pd(r, _mm256_mul_pd(n, kPio2Mid));
-  r = _mm256_sub_pd(r, _mm256_mul_pd(n, kPio2Lo));
-  const __m256d r2 = _mm256_mul_pd(r, r);
-  // sin(r) = r + r^3 P(r^2), Taylor through r^15.
-  __m256d ps = _mm256_set1_pd(-7.64716373181981647590e-13);       // -1/15!
-  ps = _mm256_add_pd(_mm256_mul_pd(ps, r2),
-                     _mm256_set1_pd(1.60590438368216145994e-10));  // 1/13!
-  ps = _mm256_add_pd(_mm256_mul_pd(ps, r2),
-                     _mm256_set1_pd(-2.50521083854417187751e-08));  // -1/11!
-  ps = _mm256_add_pd(_mm256_mul_pd(ps, r2),
-                     _mm256_set1_pd(2.75573192239858906526e-06));  // 1/9!
-  ps = _mm256_add_pd(_mm256_mul_pd(ps, r2),
-                     _mm256_set1_pd(-1.98412698412698412698e-04));  // -1/7!
-  ps = _mm256_add_pd(_mm256_mul_pd(ps, r2),
-                     _mm256_set1_pd(8.33333333333333333333e-03));  // 1/5!
-  ps = _mm256_add_pd(_mm256_mul_pd(ps, r2),
-                     _mm256_set1_pd(-1.66666666666666666667e-01));  // -1/3!
-  const __m256d sin_r =
-      _mm256_add_pd(r, _mm256_mul_pd(_mm256_mul_pd(r2, r), ps));
-  // cos(r) = 1 - r^2/2 + r^4 Q(r^2), Taylor through r^14.
-  __m256d pc = _mm256_set1_pd(-1.14707455977297247139e-11);       // -1/14!
-  pc = _mm256_add_pd(_mm256_mul_pd(pc, r2),
-                     _mm256_set1_pd(2.08767569878680989792e-09));  // 1/12!
-  pc = _mm256_add_pd(_mm256_mul_pd(pc, r2),
-                     _mm256_set1_pd(-2.75573192239858906526e-07));  // -1/10!
-  pc = _mm256_add_pd(_mm256_mul_pd(pc, r2),
-                     _mm256_set1_pd(2.48015873015873015873e-05));  // 1/8!
-  pc = _mm256_add_pd(_mm256_mul_pd(pc, r2),
-                     _mm256_set1_pd(-1.38888888888888888889e-03));  // -1/6!
-  pc = _mm256_add_pd(_mm256_mul_pd(pc, r2),
-                     _mm256_set1_pd(4.16666666666666666667e-02));  // 1/4!
-  const __m256d cos_r = _mm256_add_pd(
-      _mm256_sub_pd(_mm256_set1_pd(1.0),
-                    _mm256_mul_pd(r2, _mm256_set1_pd(0.5))),
-      _mm256_mul_pd(_mm256_mul_pd(r2, r2), pc));
-  // Quadrant fixup from q = n mod 4 (two's-complement low bits give the
-  // positive residue for negative n too):
-  //   sin(x) = [ s,  c, -s, -c][q]    cos(x) = [ c, -s, -c,  s][q]
-  const __m256i q = _mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(n));
-  const __m256i one = _mm256_set1_epi64x(1);
-  const __m256i two = _mm256_set1_epi64x(2);
-  const __m256d swap = _mm256_castsi256_pd(
-      _mm256_cmpeq_epi64(_mm256_and_si256(q, one), one));
-  const __m256d sin_sign = _mm256_castsi256_pd(
-      _mm256_slli_epi64(_mm256_and_si256(q, two), 62));
-  const __m256d cos_sign = _mm256_castsi256_pd(_mm256_slli_epi64(
-      _mm256_and_si256(_mm256_add_epi64(q, one), two), 62));
-  *s_out = _mm256_xor_pd(_mm256_blendv_pd(sin_r, cos_r, swap), sin_sign);
-  *c_out = _mm256_xor_pd(_mm256_blendv_pd(cos_r, sin_r, swap), cos_sign);
-}
-
-// Packed complex product: lanes hold [re0, im0, re1, im1].
-inline __m256d cmul_pd(__m256d a, __m256d b) {
-  const __m256d ar = _mm256_movedup_pd(a);        // [ar0, ar0, ar1, ar1]
-  const __m256d ai = _mm256_permute_pd(a, 0xF);   // [ai0, ai0, ai1, ai1]
-  const __m256d bs = _mm256_permute_pd(b, 0x5);   // [bi0, br0, bi1, br1]
-  return _mm256_addsub_pd(_mm256_mul_pd(ar, b), _mm256_mul_pd(ai, bs));
-}
-
-constexpr int kBlock = 64;  // same cache blocking as the generic backend
-
-void gemm_rows_f32(const float* a, const float* b, float* c, int i_begin,
-                   int i_end, int k, int n) {
-  for (int i0 = i_begin; i0 < i_end; i0 += kBlock) {
-    const int i1 = std::min(i0 + kBlock, i_end);
-    for (int p0 = 0; p0 < k; p0 += kBlock) {
-      const int p1 = std::min(p0 + kBlock, k);
-      for (int j0 = 0; j0 < n; j0 += kBlock) {
-        const int j1 = std::min(j0 + kBlock, n);
-        for (int i = i0; i < i1; ++i) {
-          const float* arow = a + static_cast<std::size_t>(i) * k;
-          float* crow = c + static_cast<std::size_t>(i) * n;
-          int j = j0;
-          // 32-wide register tile: accumulate the whole p-block in
-          // registers, then store. Each c[j] sees the same p-ascending
-          // add sequence as the generic loop — bit-identical.
-          for (; j + 32 <= j1; j += 32) {
-            __m256 acc0 = _mm256_loadu_ps(crow + j);
-            __m256 acc1 = _mm256_loadu_ps(crow + j + 8);
-            __m256 acc2 = _mm256_loadu_ps(crow + j + 16);
-            __m256 acc3 = _mm256_loadu_ps(crow + j + 24);
-            for (int p = p0; p < p1; ++p) {
-              const __m256 av = _mm256_set1_ps(arow[p]);
-              const float* brow = b + static_cast<std::size_t>(p) * n + j;
-              acc0 = _mm256_add_ps(acc0,
-                                   _mm256_mul_ps(av, _mm256_loadu_ps(brow)));
-              acc1 = _mm256_add_ps(
-                  acc1, _mm256_mul_ps(av, _mm256_loadu_ps(brow + 8)));
-              acc2 = _mm256_add_ps(
-                  acc2, _mm256_mul_ps(av, _mm256_loadu_ps(brow + 16)));
-              acc3 = _mm256_add_ps(
-                  acc3, _mm256_mul_ps(av, _mm256_loadu_ps(brow + 24)));
-            }
-            _mm256_storeu_ps(crow + j, acc0);
-            _mm256_storeu_ps(crow + j + 8, acc1);
-            _mm256_storeu_ps(crow + j + 16, acc2);
-            _mm256_storeu_ps(crow + j + 24, acc3);
-          }
-          for (; j + 8 <= j1; j += 8) {
-            __m256 acc = _mm256_loadu_ps(crow + j);
-            for (int p = p0; p < p1; ++p) {
-              const __m256 av = _mm256_set1_ps(arow[p]);
-              const float* brow = b + static_cast<std::size_t>(p) * n + j;
-              acc = _mm256_add_ps(acc,
-                                  _mm256_mul_ps(av, _mm256_loadu_ps(brow)));
-            }
-            _mm256_storeu_ps(crow + j, acc);
-          }
-          for (int p = p0; p < p1 && j < j1; ++p) {
-            const float av = arow[p];
-            const float* brow = b + static_cast<std::size_t>(p) * n;
-            for (int jj = j; jj < j1; ++jj) crow[jj] += av * brow[jj];
-          }
-        }
-      }
-    }
-  }
-}
-
-void axpy_f32(float alpha, const float* x, float* y, int n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  int i = 0;
-  for (; i + 8 <= n; i += 8)
-    _mm256_storeu_ps(
-        y + i, _mm256_add_ps(_mm256_loadu_ps(y + i),
-                             _mm256_mul_ps(va, _mm256_loadu_ps(x + i))));
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-float dot_f32(const float* x, const float* y, int n) {
-  __m256 acc = _mm256_setzero_ps();
-  int i = 0;
-  for (; i + 8 <= n; i += 8)
-    acc = _mm256_add_ps(
-        acc, _mm256_mul_ps(_mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i)));
-  alignas(32) float lanes[8];
-  _mm256_store_ps(lanes, acc);
-  float sum = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
-              ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-  for (; i < n; ++i) sum += x[i] * y[i];
-  return sum;
-}
-
-void sigmoid_affine_f64(const double* x, double* out, std::size_t n,
-                        double scale, double shift) {
-  const __m256d vscale = _mm256_set1_pd(scale);
-  const __m256d vshift = _mm256_set1_pd(shift);
-  const __m256d kOne = _mm256_set1_pd(1.0);
-  const __m256d kSign = _mm256_set1_pd(-0.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d z = _mm256_mul_pd(
-        vscale, _mm256_sub_pd(_mm256_loadu_pd(x + i), vshift));
-    const __m256d neg_abs = _mm256_or_pd(z, kSign);  // -|z|
-    const __m256d e = exp_le0_pd(neg_abs);
-    const __m256d denom = _mm256_add_pd(kOne, e);
-    const __m256d pos = _mm256_div_pd(kOne, denom);  // z >= 0 branch
-    const __m256d neg = _mm256_div_pd(e, denom);     // z <  0 branch
-    const __m256d take_pos =
-        _mm256_cmp_pd(z, _mm256_setzero_pd(), _CMP_GE_OQ);
-    _mm256_storeu_pd(out + i, _mm256_blendv_pd(neg, pos, take_pos));
-  }
-  if (i < n) generic::sigmoid_affine_f64(x + i, out + i, n - i, scale, shift);
-}
-
-void cis_f64(const double* phase, Complex* out, std::size_t n) {
-  double* op = reinterpret_cast<double*>(out);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4, op += 8) {
-    __m256d s, c;
-    sincos_pd(_mm256_loadu_pd(phase + i), &s, &c);
-    const __m256d lo = _mm256_unpacklo_pd(c, s);  // [c0 s0 c2 s2]
-    const __m256d hi = _mm256_unpackhi_pd(c, s);  // [c1 s1 c3 s3]
-    _mm256_storeu_pd(op, _mm256_permute2f128_pd(lo, hi, 0x20));
-    _mm256_storeu_pd(op + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
-  }
-  if (i < n) generic::cis_f64(phase + i, out + i, n - i);
-}
-
-void resist_deriv_f64(const double* t, double* out, std::size_t n,
-                      double theta) {
-  const __m256d vt = _mm256_set1_pd(theta);
-  const __m256d kOne = _mm256_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(t + i);
-    _mm256_storeu_pd(out + i, _mm256_mul_pd(_mm256_mul_pd(vt, v),
-                                            _mm256_sub_pd(kOne, v)));
-  }
-  for (; i < n; ++i) out[i] = theta * t[i] * (1.0 - t[i]);
-}
-
-void add_clamp1_f64(const double* a, const double* b, double* out,
-                    std::size_t n) {
-  const __m256d kOne = _mm256_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(
-        out + i, _mm256_min_pd(
-                     _mm256_add_pd(_mm256_loadu_pd(a + i),
-                                   _mm256_loadu_pd(b + i)),
-                     kOne));
-  for (; i < n; ++i) out[i] = std::min(a[i] + b[i], 1.0);
-}
-
-void add_f64(const double* a, double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(out + i, _mm256_add_pd(_mm256_loadu_pd(out + i),
-                                            _mm256_loadu_pd(a + i)));
-  for (; i < n; ++i) out[i] += a[i];
-}
-
-void clamp_max_f64(double* a, std::size_t n, double hi) {
-  const __m256d vhi = _mm256_set1_pd(hi);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(a + i, _mm256_min_pd(_mm256_loadu_pd(a + i), vhi));
-  for (; i < n; ++i) a[i] = std::min(a[i], hi);
-}
-
-void gate_lt1_f64(const double* a, const double* b, double* out,
-                  std::size_t n) {
-  const __m256d kOne = _mm256_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d sum =
-        _mm256_add_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-    const __m256d lt = _mm256_cmp_pd(sum, kOne, _CMP_LT_OQ);
-    _mm256_storeu_pd(out + i, _mm256_and_pd(lt, kOne));
-  }
-  for (; i < n; ++i) out[i] = (a[i] + b[i] < 1.0) ? 1.0 : 0.0;
-}
-
-double loss_grad_f64(const double* t, const double* target,
-                     const double* weights, double* dldt, std::size_t n) {
-  const __m256d kTwo = _mm256_set1_pd(2.0);
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d =
-        _mm256_sub_pd(_mm256_loadu_pd(t + i), _mm256_loadu_pd(target + i));
-    const __m256d w =
-        weights ? _mm256_loadu_pd(weights + i) : _mm256_set1_pd(1.0);
-    const __m256d wd = _mm256_mul_pd(w, d);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(wd, d));
-    _mm256_storeu_pd(dldt + i, _mm256_mul_pd(_mm256_mul_pd(kTwo, w), d));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  double loss = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < n; ++i) {
-    const double w = weights ? weights[i] : 1.0;
-    const double d = t[i] - target[i];
-    loss += w * d * d;
-    dldt[i] = 2.0 * w * d;
-  }
-  return loss;
-}
-
-double max_abs_f64(const double* x, std::size_t n) {
-  const __m256d kSign = _mm256_set1_pd(-0.0);
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    acc = _mm256_max_pd(acc,
-                        _mm256_andnot_pd(kSign, _mm256_loadu_pd(x + i)));
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  double m = std::max(std::max(lanes[0], lanes[1]),
-                      std::max(lanes[2], lanes[3]));
-  for (; i < n; ++i) m = std::max(m, std::abs(x[i]));
-  return m;
-}
-
-void descend_f64(double* p, const double* g, double scale, std::size_t n) {
-  const __m256d vs = _mm256_set1_pd(scale);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(
-        p + i, _mm256_sub_pd(_mm256_loadu_pd(p + i),
-                             _mm256_mul_pd(vs, _mm256_loadu_pd(g + i))));
-  for (; i < n; ++i) p[i] -= scale * g[i];
-}
-
-void sigmoid_chain_f64(double* g, const double* m, double theta,
-                       std::size_t n) {
-  const __m256d vt = _mm256_set1_pd(theta);
-  const __m256d kOne = _mm256_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d mv = _mm256_loadu_pd(m + i);
-    const __m256d factor = _mm256_mul_pd(_mm256_mul_pd(vt, mv),
-                                         _mm256_sub_pd(kOne, mv));
-    _mm256_storeu_pd(g + i, _mm256_mul_pd(_mm256_loadu_pd(g + i), factor));
-  }
-  for (; i < n; ++i) g[i] *= theta * m[i] * (1.0 - m[i]);
-}
-
-double sq_diff_sum_f64(const double* a, const double* b, std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d =
-        _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  double sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    sum += d * d;
-  }
-  return sum;
-}
-
-void cmul_f64(Complex* a, const Complex* b, std::size_t n) {
-  double* ap = reinterpret_cast<double*>(a);
-  const double* bp = reinterpret_cast<const double*>(b);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2, ap += 4, bp += 4)
-    _mm256_storeu_pd(ap, cmul_pd(_mm256_loadu_pd(ap), _mm256_loadu_pd(bp)));
-  if (i < n) generic::cmul_f64(a + i, b + i, n - i);
-}
-
-void cmul_to_f64(const Complex* a, const Complex* b, Complex* out,
-                 std::size_t n) {
-  const double* ap = reinterpret_cast<const double*>(a);
-  const double* bp = reinterpret_cast<const double*>(b);
-  double* op = reinterpret_cast<double*>(out);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2, ap += 4, bp += 4, op += 4)
-    _mm256_storeu_pd(op, cmul_pd(_mm256_loadu_pd(ap), _mm256_loadu_pd(bp)));
-  if (i < n) generic::cmul_to_f64(a + i, b + i, out + i, n - i);
-}
-
-void cmul_conj_accum_f64(Complex* acc, const Complex* a, const Complex* b,
-                         double w, std::size_t n) {
-  const __m256d vw = _mm256_set1_pd(w);
-  // Conjugate b by flipping the sign of the imaginary lanes.
-  const __m256d conj_mask = _mm256_set_pd(-0.0, 0.0, -0.0, 0.0);
-  double* cp = reinterpret_cast<double*>(acc);
-  const double* ap = reinterpret_cast<const double*>(a);
-  const double* bp = reinterpret_cast<const double*>(b);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2, cp += 4, ap += 4, bp += 4) {
-    const __m256d wa = _mm256_mul_pd(vw, _mm256_loadu_pd(ap));
-    const __m256d bc = _mm256_xor_pd(_mm256_loadu_pd(bp), conj_mask);
-    _mm256_storeu_pd(
-        cp, _mm256_add_pd(_mm256_loadu_pd(cp), cmul_pd(wa, bc)));
-  }
-  if (i < n) generic::cmul_conj_accum_f64(acc + i, a + i, b + i, w, n - i);
-}
-
-void norm_weighted_accum_f64(double* out, const Complex* a, double w,
-                             std::size_t n) {
-  const __m256d vw = _mm256_set1_pd(w);
-  const double* ap = reinterpret_cast<const double*>(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4, ap += 8) {
-    const __m256d v0 = _mm256_loadu_pd(ap);      // [r0 i0 r1 i1]
-    const __m256d v1 = _mm256_loadu_pd(ap + 4);  // [r2 i2 r3 i3]
-    const __m256d sq0 = _mm256_mul_pd(v0, v0);
-    const __m256d sq1 = _mm256_mul_pd(v1, v1);
-    // hadd interleaves blocks: [n0 n2 n1 n3] -> permute to [n0 n1 n2 n3].
-    const __m256d norms = _mm256_permute4x64_pd(
-        _mm256_hadd_pd(sq0, sq1), _MM_SHUFFLE(3, 1, 2, 0));
-    _mm256_storeu_pd(out + i, _mm256_add_pd(_mm256_loadu_pd(out + i),
-                                            _mm256_mul_pd(vw, norms)));
-  }
-  if (i < n) generic::norm_weighted_accum_f64(out + i, a + i, w, n - i);
-}
-
-void real_mul_f64(const double* r, const Complex* a, Complex* out,
-                  std::size_t n) {
-  const double* ap = reinterpret_cast<const double*>(a);
-  double* op = reinterpret_cast<double*>(out);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4, ap += 8, op += 8) {
-    const __m256d rv = _mm256_loadu_pd(r + i);  // [r0 r1 r2 r3]
-    const __m256d lo =
-        _mm256_permute4x64_pd(rv, _MM_SHUFFLE(1, 1, 0, 0));  // [r0 r0 r1 r1]
-    const __m256d hi =
-        _mm256_permute4x64_pd(rv, _MM_SHUFFLE(3, 3, 2, 2));  // [r2 r2 r3 r3]
-    _mm256_storeu_pd(op, _mm256_mul_pd(lo, _mm256_loadu_pd(ap)));
-    _mm256_storeu_pd(op + 4, _mm256_mul_pd(hi, _mm256_loadu_pd(ap + 4)));
-  }
-  if (i < n) generic::real_mul_f64(r + i, a + i, out + i, n - i);
-}
-
-void scaled_real_f64(const Complex* a, double s, double* out,
-                     std::size_t n) {
-  const __m256d vs = _mm256_set1_pd(s);
-  const double* ap = reinterpret_cast<const double*>(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4, ap += 8) {
-    const __m256d v0 = _mm256_loadu_pd(ap);      // [r0 i0 r1 i1]
-    const __m256d v1 = _mm256_loadu_pd(ap + 4);  // [r2 i2 r3 i3]
-    // unpacklo -> [r0 r2 r1 r3]; permute to [r0 r1 r2 r3].
-    const __m256d reals = _mm256_permute4x64_pd(
-        _mm256_unpacklo_pd(v0, v1), _MM_SHUFFLE(3, 1, 2, 0));
-    _mm256_storeu_pd(out + i, _mm256_mul_pd(vs, reals));
-  }
-  if (i < n) generic::scaled_real_f64(a + i, s, out + i, n - i);
-}
-
-void scale_complex_f64(Complex* a, double s, std::size_t n) {
-  const __m256d vs = _mm256_set1_pd(s);
-  double* ap = reinterpret_cast<double*>(a);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2, ap += 4)
-    _mm256_storeu_pd(ap, _mm256_mul_pd(vs, _mm256_loadu_pd(ap)));
-  if (i < n) generic::scale_complex_f64(a + i, s, n - i);
-}
-
-void fft_pass_f64(Complex* data, const Complex* twiddle, int size, int len) {
-  double* dp = reinterpret_cast<double*>(data);
-  const int half = len >> 1;
-  if (half == 1) {
-    // Twiddle is 1+0i: plain add/sub butterfly, one per 2 complexes.
-    for (int s = 0; s < 2 * size; s += 4) {
-      const __m128d a = _mm_loadu_pd(dp + s);
-      const __m128d b = _mm_loadu_pd(dp + s + 2);
-      _mm_storeu_pd(dp + s, _mm_add_pd(a, b));
-      _mm_storeu_pd(dp + s + 2, _mm_sub_pd(a, b));
-    }
-    return;
-  }
-  const double* tp = reinterpret_cast<const double*>(twiddle);
-  for (int start = 0; start < size; start += len) {
-    double* ap = dp + 2 * start;
-    double* bp = ap + 2 * half;
-    int k = 0;
-    for (; k + 2 <= half; k += 2) {
-      const __m256d w = _mm256_loadu_pd(tp + 2 * k);
-      const __m256d va = _mm256_loadu_pd(ap + 2 * k);
-      const __m256d vb = _mm256_loadu_pd(bp + 2 * k);
-      const __m256d t = cmul_pd(w, vb);
-      _mm256_storeu_pd(bp + 2 * k, _mm256_sub_pd(va, t));
-      _mm256_storeu_pd(ap + 2 * k, _mm256_add_pd(va, t));
-    }
-    // half >= 2 is always even for radix-2 sizes, so no scalar tail.
-  }
-}
-
-void bilinear_line_f64(const double* grid, int h, int w, double x0,
-                       double y0, double dx, double dy, int count,
-                       double* out) {
-  const __m256d vdx = _mm256_set1_pd(dx);
-  const __m256d vdy = _mm256_set1_pd(dy);
-  const __m256d vx0 = _mm256_set1_pd(x0);
-  const __m256d vy0 = _mm256_set1_pd(y0);
-  const __m256d kHalf = _mm256_set1_pd(0.5);
-  const __m256d kOne = _mm256_set1_pd(1.0);
-  const __m256d kZero = _mm256_setzero_pd();
-  const __m256d fxmax = _mm256_set1_pd(static_cast<double>(w - 1));
-  const __m256d fymax = _mm256_set1_pd(static_cast<double>(h - 1));
-  const __m128i ixmax = _mm_set1_epi32(w - 1);
-  const __m128i iymax = _mm_set1_epi32(h - 1);
-  const __m128i iw = _mm_set1_epi32(w);
-  const __m128i ione = _mm_set1_epi32(1);
-  int i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256d iv = _mm256_set_pd(i + 3, i + 2, i + 1, i);
-    const __m256d px = _mm256_add_pd(vx0, _mm256_mul_pd(iv, vdx));
-    const __m256d py = _mm256_add_pd(vy0, _mm256_mul_pd(iv, vdy));
-    const __m256d fx = _mm256_max_pd(
-        kZero, _mm256_min_pd(_mm256_sub_pd(px, kHalf), fxmax));
-    const __m256d fy = _mm256_max_pd(
-        kZero, _mm256_min_pd(_mm256_sub_pd(py, kHalf), fymax));
-    const __m128i x0i = _mm_min_epi32(_mm256_cvttpd_epi32(fx), ixmax);
-    const __m128i y0i = _mm_min_epi32(_mm256_cvttpd_epi32(fy), iymax);
-    const __m128i x1i = _mm_min_epi32(_mm_add_epi32(x0i, ione), ixmax);
-    const __m128i y1i = _mm_min_epi32(_mm_add_epi32(y0i, ione), iymax);
-    const __m256d tx = _mm256_sub_pd(fx, _mm256_cvtepi32_pd(x0i));
-    const __m256d ty = _mm256_sub_pd(fy, _mm256_cvtepi32_pd(y0i));
-    const __m128i row0 = _mm_mullo_epi32(y0i, iw);
-    const __m128i row1 = _mm_mullo_epi32(y1i, iw);
-    const __m256d g00 =
-        _mm256_i32gather_pd(grid, _mm_add_epi32(row0, x0i), 8);
-    const __m256d g01 =
-        _mm256_i32gather_pd(grid, _mm_add_epi32(row0, x1i), 8);
-    const __m256d g10 =
-        _mm256_i32gather_pd(grid, _mm_add_epi32(row1, x0i), 8);
-    const __m256d g11 =
-        _mm256_i32gather_pd(grid, _mm_add_epi32(row1, x1i), 8);
-    const __m256d one_tx = _mm256_sub_pd(kOne, tx);
-    const __m256d bottom = _mm256_add_pd(_mm256_mul_pd(g00, one_tx),
-                                         _mm256_mul_pd(g01, tx));
-    const __m256d top = _mm256_add_pd(_mm256_mul_pd(g10, one_tx),
-                                      _mm256_mul_pd(g11, tx));
-    _mm256_storeu_pd(out + i,
-                     _mm256_add_pd(_mm256_mul_pd(bottom,
-                                                 _mm256_sub_pd(kOne, ty)),
-                                   _mm256_mul_pd(top, ty)));
-  }
-  for (; i < count; ++i)
-    out[i] = bilinear_one(grid, h, w, x0 + i * dx, y0 + i * dy);
-}
-
-}  // namespace
-
-namespace detail {
+namespace ldmo::kernels::detail {
 
 const KernelTable& avx2_table() {
-  static const KernelTable t = {
-      Backend::kAvx2,
-      "avx2",
-      &gemm_rows_f32,
-      &axpy_f32,
-      &dot_f32,
-      &sigmoid_affine_f64,
-      &cis_f64,
-      &resist_deriv_f64,
-      &add_clamp1_f64,
-      &add_f64,
-      &clamp_max_f64,
-      &gate_lt1_f64,
-      &loss_grad_f64,
-      &max_abs_f64,
-      &descend_f64,
-      &sigmoid_chain_f64,
-      &sq_diff_sum_f64,
-      &cmul_f64,
-      &cmul_to_f64,
-      &cmul_conj_accum_f64,
-      &norm_weighted_accum_f64,
-      &real_mul_f64,
-      &scaled_real_f64,
-      &scale_complex_f64,
-      &fft_pass_f64,
-      &bilinear_line_f64,
-  };
+  static constexpr KernelTable t = make_table<Avx2>();
   return t;
 }
 
-}  // namespace detail
-}  // namespace ldmo::kernels
+}  // namespace ldmo::kernels::detail
 
 #endif  // LDMO_KERNELS_AVX2

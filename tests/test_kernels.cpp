@@ -5,14 +5,20 @@
 // semantics, and the SOCS kernel-truncation error bound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "backend_sweep.h"
 #include "common/error.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "fft/fft.h"
 #include "kernels/kernels.h"
@@ -24,24 +30,14 @@
 namespace ldmo::kernels {
 namespace {
 
-// Every backend this binary can actually execute here (generic always).
+using testutil::BackendGuard;
+
 std::vector<const KernelTable*> usable_tables() {
   std::vector<const KernelTable*> out;
-  for (Backend b : {Backend::kGeneric, Backend::kAvx2, Backend::kAvx512,
-                    Backend::kNeon})
-    if (supported(b)) out.push_back(detail::table_for(b));
+  for (Backend b : testutil::usable_backends())
+    out.push_back(detail::table_for(b));
   return out;
 }
-
-// Restores the process-wide selection after tests that switch backends.
-class BackendGuard {
- public:
-  BackendGuard() : saved_(&table()) {}
-  ~BackendGuard() { select(saved_->backend); }
-
- private:
-  const KernelTable* saved_;
-};
 
 std::vector<double> random_f64(Rng& rng, std::size_t n, double lo = -2.0,
                                double hi = 2.0) {
@@ -463,6 +459,381 @@ TEST(KernelApproxOpsTest, ReductionTolerances) {
     EXPECT_TRUE(bits_equal(dldt_u_ref.data(), dldt.data(), n));
     EXPECT_NEAR(t->dot_f32(xf.data(), yf.data(), static_cast<int>(n)),
                 dot_ref, 1e-3);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Per-op digest pins: an FNV-1a digest of every output bit of each op, per
+// backend. The lengths reach the main loop and every tail of 2-, 4-, 8- and
+// 16-lane loops, each from an aligned start and from one element past it.
+// Reduction order and tail boundary are each backend's own contract, so the
+// approximate ops pin a digest per backend, not just a tolerance.
+
+constexpr std::size_t kSweepLengths[] = {
+    0,  1,  2,  3,  4,  5,  6,  7,   8,   9,   10,  11,  12,  13,  14,
+    15, 16, 17, 23, 31, 32, 33, 63, 64, 65, 127, 128, 129, 1037};
+
+/// n elements starting `offset` elements past a 64-byte boundary, filled
+/// with uniform draws in [lo, hi).
+template <class T>
+class Aligned {
+ public:
+  Aligned(Rng& rng, std::size_t n, std::size_t offset, double lo = -2.0,
+          double hi = 2.0)
+      : store_(n + offset + 64 / sizeof(T)) {
+    const auto addr = reinterpret_cast<std::uintptr_t>(store_.data());
+    data_ = store_.data() + (64 - addr % 64) % 64 / sizeof(T) + offset;
+    for (std::size_t i = 0; i < n; ++i) {
+      if constexpr (std::is_same_v<T, Complex>)
+        data_[i] = Complex(rng.uniform(lo, hi), rng.uniform(lo, hi));
+      else
+        data_[i] = static_cast<T>(rng.uniform(lo, hi));
+    }
+  }
+  T* get() { return data_; }
+
+ private:
+  std::vector<T> store_;
+  T* data_;
+};
+
+/// Calls body(n, offset, rng) for every sweep length and both starts. The
+/// Rng is seeded from (n, offset), so every backend sees the same inputs.
+template <class Body>
+void sweep(Body&& body) {
+  for (std::size_t n : kSweepLengths)
+    for (std::size_t offset : {0u, 1u}) {
+      Rng rng(1000 * n + offset + 1);
+      body(n, offset, rng);
+    }
+}
+
+template <class T>
+void hash_out(common::Fnv1a& h, const T* p, std::size_t n) {
+  h.bytes(p, n * sizeof(T));
+}
+
+/// Writes `edges` over the first and last elements of x[0:n).
+void place_edges(double* x, std::size_t n,
+                 std::initializer_list<double> edges) {
+  std::size_t j = 0;
+  for (double e : edges) {
+    if (j < n) x[j] = x[n - 1 - j] = e;
+    ++j;
+  }
+}
+
+void digest_gemm(const KernelTable& t, common::Fnv1a& h) {
+  // Wide tiles (n >= 64), masked narrow columns, 8-row groups, leftover
+  // rows, several p- and j-blocks, and a row range split in three.
+  struct Shape {
+    int m, k, n;
+  };
+  for (const Shape& s : {Shape{1, 1, 1}, Shape{5, 7, 6}, Shape{8, 16, 16},
+                         Shape{37, 29, 41}, Shape{9, 70, 130},
+                         Shape{17, 5, 64}, Shape{70, 3, 7},
+                         Shape{13, 65, 100}, Shape{19, 131, 33}}) {
+    Rng rng(static_cast<std::uint64_t>(s.m * 10007 + s.k * 101 + s.n));
+    const std::size_t mk = static_cast<std::size_t>(s.m) * s.k;
+    const std::size_t kn = static_cast<std::size_t>(s.k) * s.n;
+    const std::size_t mn = static_cast<std::size_t>(s.m) * s.n;
+    Aligned<float> a(rng, mk, 0, -1.0, 1.0), b(rng, kn, 0, -1.0, 1.0);
+    Aligned<float> c(rng, mn, 0, -1.0, 1.0);
+    const int split1 = s.m / 3, split2 = 2 * s.m / 3 + 1;
+    t.gemm_rows_f32(a.get(), b.get(), c.get(), 0, split1, s.k, s.n);
+    t.gemm_rows_f32(a.get(), b.get(), c.get(), split1,
+                    std::min(split2, s.m), s.k, s.n);
+    t.gemm_rows_f32(a.get(), b.get(), c.get(), std::min(split2, s.m), s.m,
+                    s.k, s.n);
+    hash_out(h, c.get(), mn);
+  }
+}
+
+void digest_fft(const KernelTable& t, common::Fnv1a& h) {
+  for (int size = 2; size <= 256; size <<= 1) {
+    for (bool neg_zero_imag : {false, true}) {
+      Rng rng(static_cast<std::uint64_t>(size));
+      Aligned<Complex> data(rng, static_cast<std::size_t>(size), 0);
+      // Real input with -0 imaginary parts: the SIMD len == 2 stage's
+      // direct add/sub gives a different sign of zero than generic's
+      // multiply by the first twiddle.
+      if (neg_zero_imag)
+        for (int i = 0; i < size; ++i) data.get()[i].imag(-0.0);
+      for (int len = 2; len <= size; len <<= 1) {
+        std::vector<Complex> twiddle(static_cast<std::size_t>(len / 2));
+        for (int k = 0; k < len / 2; ++k) {
+          const double angle = -2.0 * M_PI * k / len;
+          twiddle[static_cast<std::size_t>(k)] =
+              Complex(std::cos(angle), std::sin(angle));
+        }
+        t.fft_pass_f64(data.get(), twiddle.data(), size, len);
+        hash_out(h, data.get(), static_cast<std::size_t>(size));
+      }
+    }
+  }
+}
+
+void digest_bilinear(const KernelTable& t, common::Fnv1a& h) {
+  struct Grid {
+    int h, w;
+  };
+  for (const Grid& g : {Grid{16, 16}, Grid{7, 5}, Grid{1, 9}}) {
+    Rng rng(static_cast<std::uint64_t>(g.h * 100 + g.w));
+    Aligned<double> grid(rng, static_cast<std::size_t>(g.h) * g.w, 0, 0.0,
+                         1.0);
+    std::vector<double> out(41);
+    for (int count = 0; count <= 41; ++count) {
+      // One line enters from outside the low corner, one walks back out
+      // past the high corner: clamped and interior samples both.
+      t.bilinear_line_f64(grid.get(), g.h, g.w, -2.5, 3.1, 0.37, 0.11, count,
+                          out.data());
+      hash_out(h, out.data(), static_cast<std::size_t>(count));
+      t.bilinear_line_f64(grid.get(), g.h, g.w, g.w - 1.2, g.h + 0.3, 0.53,
+                          -0.29, count, out.data());
+      hash_out(h, out.data(), static_cast<std::size_t>(count));
+    }
+  }
+}
+
+struct DigestCase {
+  const char* op;
+  void (*run)(const KernelTable& t, common::Fnv1a& h);
+  std::uint64_t generic, avx2, avx512;
+};
+
+// Digests per backend: generic, avx2, avx512. A mismatch means an op's
+// output bits changed on that backend; re-record only for a deliberate
+// change of its arithmetic.
+const DigestCase kDigestCases[] = {
+    {"gemm_rows_f32", digest_gemm,
+     0x22aae2b36c2df30ull, 0x22aae2b36c2df30ull, 0x22aae2b36c2df30ull},
+    {"axpy_f32",
+     [](const KernelTable& t, common::Fnv1a& h) {
+       sweep([&](std::size_t n, std::size_t off, Rng& rng) {
+         Aligned<float> x(rng, n, off), y(rng, n, off);
+         t.axpy_f32(0.71f, x.get(), y.get(), static_cast<int>(n));
+         hash_out(h, y.get(), n);
+       });
+     },
+     0x6664a9210dedfbabull, 0x6664a9210dedfbabull, 0x6664a9210dedfbabull},
+    {"dot_f32",
+     [](const KernelTable& t, common::Fnv1a& h) {
+       sweep([&](std::size_t n, std::size_t off, Rng& rng) {
+         Aligned<float> x(rng, n, off), y(rng, n, off);
+         const float d = t.dot_f32(x.get(), y.get(), static_cast<int>(n));
+         hash_out(h, &d, 1);
+       });
+     },
+     0x94f3df439ae28ea1ull, 0x13d9764c1ddf6d10ull, 0x1abe84de97d3e4full},
+    {"sigmoid_affine_f64",
+     [](const KernelTable& t, common::Fnv1a& h) {
+       sweep([&](std::size_t n, std::size_t off, Rng& rng) {
+         Aligned<double> x(rng, n, off, -800.0, 800.0), out(rng, n, off);
+         place_edges(x.get(), n, {0.0, -0.0, -708.5, 708.5});
+         t.sigmoid_affine_f64(x.get(), out.get(), n, 0.05, 1.3);
+         hash_out(h, out.get(), n);
+         t.sigmoid_affine_f64(x.get(), out.get(), n, 1.0, 0.0);
+         hash_out(h, out.get(), n);
+       });
+     },
+     0x929e5abb8d322039ull, 0x6b9e1ee258ffc575ull, 0x4d8c304da06f230dull},
+    {"cis_f64",
+     [](const KernelTable& t, common::Fnv1a& h) {
+       sweep([&](std::size_t n, std::size_t off, Rng& rng) {
+         Aligned<double> x(rng, n, off, -2000.0, 2000.0);
+         Aligned<Complex> out(rng, n, off);
+         place_edges(x.get(), n,
+                     {0.0, -0.0, M_PI_2, -M_PI_2, M_PI, -M_PI, 2.0 * M_PI,
+                      0.75 * M_PI, -0.75 * M_PI, 1e5, -1e5});
+         t.cis_f64(x.get(), out.get(), n);
+         hash_out(h, out.get(), n);
+       });
+     },
+     0xaa0c1d8a79454cf2ull, 0xa0908675fa330542ull, 0xa0ec6d860fcb3e6eull},
+    {"resist_deriv_f64",
+     [](const KernelTable& t, common::Fnv1a& h) {
+       sweep([&](std::size_t n, std::size_t off, Rng& rng) {
+         Aligned<double> x(rng, n, off, -0.2, 1.2), out(rng, n, off);
+         t.resist_deriv_f64(x.get(), out.get(), n, 120.0);
+         hash_out(h, out.get(), n);
+       });
+     },
+     0x55f61cf16ed70150ull, 0x55f61cf16ed70150ull, 0x55f61cf16ed70150ull},
+    {"add_clamp1_f64",
+     [](const KernelTable& t, common::Fnv1a& h) {
+       sweep([&](std::size_t n, std::size_t off, Rng& rng) {
+         Aligned<double> a(rng, n, off), b(rng, n, off, -0.2, 1.2);
+         Aligned<double> out(rng, n, off);
+         t.add_clamp1_f64(a.get(), b.get(), out.get(), n);
+         hash_out(h, out.get(), n);
+       });
+     },
+     0x1412f202042a143ull, 0x1412f202042a143ull, 0x1412f202042a143ull},
+    {"add_f64",
+     [](const KernelTable& t, common::Fnv1a& h) {
+       sweep([&](std::size_t n, std::size_t off, Rng& rng) {
+         Aligned<double> a(rng, n, off), out(rng, n, off);
+         t.add_f64(a.get(), out.get(), n);
+         hash_out(h, out.get(), n);
+       });
+     },
+     0x85e3a536069caefull, 0x85e3a536069caefull, 0x85e3a536069caefull},
+    {"clamp_max_f64",
+     [](const KernelTable& t, common::Fnv1a& h) {
+       sweep([&](std::size_t n, std::size_t off, Rng& rng) {
+         Aligned<double> a(rng, n, off);
+         t.clamp_max_f64(a.get(), n, 1.0);
+         hash_out(h, a.get(), n);
+       });
+     },
+     0x8f73b3294a226dbaull, 0x8f73b3294a226dbaull, 0x8f73b3294a226dbaull},
+    {"gate_lt1_f64",
+     [](const KernelTable& t, common::Fnv1a& h) {
+       sweep([&](std::size_t n, std::size_t off, Rng& rng) {
+         Aligned<double> a(rng, n, off, -0.2, 1.2);
+         Aligned<double> b(rng, n, off, -0.2, 1.2);
+         Aligned<double> out(rng, n, off);
+         t.gate_lt1_f64(a.get(), b.get(), out.get(), n);
+         hash_out(h, out.get(), n);
+       });
+     },
+     0x2fd4520de512ddc5ull, 0x2fd4520de512ddc5ull, 0x2fd4520de512ddc5ull},
+    {"loss_grad_f64",
+     [](const KernelTable& t, common::Fnv1a& h) {
+       sweep([&](std::size_t n, std::size_t off, Rng& rng) {
+         Aligned<double> a(rng, n, off), b(rng, n, off);
+         Aligned<double> w(rng, n, off, 0.5, 2.0), dldt(rng, n, off);
+         const double* weights_or_null[] = {w.get(), nullptr};
+         for (const double* weights : weights_or_null) {
+           const double loss =
+               t.loss_grad_f64(a.get(), b.get(), weights, dldt.get(), n);
+           hash_out(h, &loss, 1);
+           hash_out(h, dldt.get(), n);
+         }
+       });
+     },
+     0xa21d3b91d693999aull, 0xcf86ab70b202f607ull, 0x7c2bab828be761f2ull},
+    {"max_abs_f64",
+     [](const KernelTable& t, common::Fnv1a& h) {
+       sweep([&](std::size_t n, std::size_t off, Rng& rng) {
+         Aligned<double> a(rng, n, off);
+         const double m = t.max_abs_f64(a.get(), n);
+         hash_out(h, &m, 1);
+       });
+     },
+     0xcbaa93bfa779766cull, 0xcbaa93bfa779766cull, 0xcbaa93bfa779766cull},
+    {"descend_f64",
+     [](const KernelTable& t, common::Fnv1a& h) {
+       sweep([&](std::size_t n, std::size_t off, Rng& rng) {
+         Aligned<double> p(rng, n, off), g(rng, n, off);
+         t.descend_f64(p.get(), g.get(), 0.37, n);
+         hash_out(h, p.get(), n);
+       });
+     },
+     0xd0205a83a1f9552eull, 0xd0205a83a1f9552eull, 0xd0205a83a1f9552eull},
+    {"sigmoid_chain_f64",
+     [](const KernelTable& t, common::Fnv1a& h) {
+       sweep([&](std::size_t n, std::size_t off, Rng& rng) {
+         Aligned<double> g(rng, n, off), m(rng, n, off, -0.2, 1.2);
+         t.sigmoid_chain_f64(g.get(), m.get(), 4.0, n);
+         hash_out(h, g.get(), n);
+       });
+     },
+     0xdd51b949ef4a191dull, 0xdd51b949ef4a191dull, 0xdd51b949ef4a191dull},
+    {"sq_diff_sum_f64",
+     [](const KernelTable& t, common::Fnv1a& h) {
+       sweep([&](std::size_t n, std::size_t off, Rng& rng) {
+         Aligned<double> a(rng, n, off), b(rng, n, off);
+         const double s = t.sq_diff_sum_f64(a.get(), b.get(), n);
+         hash_out(h, &s, 1);
+       });
+     },
+     0x499219553e0e4781ull, 0x4be77bef61a72231ull, 0x63bf9094c6078ac2ull},
+    {"cmul_f64",
+     [](const KernelTable& t, common::Fnv1a& h) {
+       sweep([&](std::size_t n, std::size_t off, Rng& rng) {
+         Aligned<Complex> a(rng, n, off), b(rng, n, off);
+         t.cmul_f64(a.get(), b.get(), n);
+         hash_out(h, a.get(), n);
+       });
+     },
+     0x7daad20e88fc1511ull, 0x7daad20e88fc1511ull, 0x7daad20e88fc1511ull},
+    {"cmul_to_f64",
+     [](const KernelTable& t, common::Fnv1a& h) {
+       sweep([&](std::size_t n, std::size_t off, Rng& rng) {
+         Aligned<Complex> a(rng, n, off), b(rng, n, off), out(rng, n, off);
+         t.cmul_to_f64(a.get(), b.get(), out.get(), n);
+         hash_out(h, out.get(), n);
+       });
+     },
+     0x7daad20e88fc1511ull, 0x7daad20e88fc1511ull, 0x7daad20e88fc1511ull},
+    {"cmul_conj_accum_f64",
+     [](const KernelTable& t, common::Fnv1a& h) {
+       sweep([&](std::size_t n, std::size_t off, Rng& rng) {
+         Aligned<Complex> acc(rng, n, off), a(rng, n, off), b(rng, n, off);
+         t.cmul_conj_accum_f64(acc.get(), a.get(), b.get(), 0.83, n);
+         hash_out(h, acc.get(), n);
+       });
+     },
+     0xbb1aa22f7a828725ull, 0xbb1aa22f7a828725ull, 0xbb1aa22f7a828725ull},
+    {"norm_weighted_accum_f64",
+     [](const KernelTable& t, common::Fnv1a& h) {
+       sweep([&](std::size_t n, std::size_t off, Rng& rng) {
+         Aligned<double> out(rng, n, off);
+         Aligned<Complex> a(rng, n, off);
+         t.norm_weighted_accum_f64(out.get(), a.get(), 0.29, n);
+         hash_out(h, out.get(), n);
+       });
+     },
+     0x4b88cb46f0a495e6ull, 0x4b88cb46f0a495e6ull, 0x4b88cb46f0a495e6ull},
+    {"real_mul_f64",
+     [](const KernelTable& t, common::Fnv1a& h) {
+       sweep([&](std::size_t n, std::size_t off, Rng& rng) {
+         Aligned<double> r(rng, n, off);
+         Aligned<Complex> a(rng, n, off), out(rng, n, off);
+         t.real_mul_f64(r.get(), a.get(), out.get(), n);
+         hash_out(h, out.get(), n);
+       });
+     },
+     0xef1edd9121012ef5ull, 0xef1edd9121012ef5ull, 0xef1edd9121012ef5ull},
+    {"scaled_real_f64",
+     [](const KernelTable& t, common::Fnv1a& h) {
+       sweep([&](std::size_t n, std::size_t off, Rng& rng) {
+         Aligned<Complex> a(rng, n, off);
+         Aligned<double> out(rng, n, off);
+         t.scaled_real_f64(a.get(), 1.0 / 3.0, out.get(), n);
+         hash_out(h, out.get(), n);
+       });
+     },
+     0x563bb585a00e4cd2ull, 0x563bb585a00e4cd2ull, 0x563bb585a00e4cd2ull},
+    {"scale_complex_f64",
+     [](const KernelTable& t, common::Fnv1a& h) {
+       sweep([&](std::size_t n, std::size_t off, Rng& rng) {
+         Aligned<Complex> a(rng, n, off);
+         t.scale_complex_f64(a.get(), 1.0 / 3.0, n);
+         hash_out(h, a.get(), n);
+       });
+     },
+     0x48791a657b194201ull, 0x48791a657b194201ull, 0x48791a657b194201ull},
+    {"fft_pass_f64", digest_fft,
+     0x79d0b3a03f0a4699ull, 0x17463927383ed019ull, 0x17463927383ed019ull},
+    {"bilinear_line_f64", digest_bilinear,
+     0xed94197f63c77ea0ull, 0xed94197f63c77ea0ull, 0xed94197f63c77ea0ull},
+};
+
+TEST(KernelDigestTest, EveryOpMatchesItsPinnedDigestPerBackend) {
+  for (Backend backend : testutil::usable_backends()) {
+    if (backend == Backend::kNeon) continue;  // no digests recorded
+    const KernelTable& t = *detail::table_for(backend);
+    for (const DigestCase& c : kDigestCases) {
+      common::Fnv1a h;
+      c.run(t, h);
+      const std::uint64_t expect = backend == Backend::kGeneric ? c.generic
+                                   : backend == Backend::kAvx2  ? c.avx2
+                                                                : c.avx512;
+      EXPECT_EQ(h.digest(), expect)
+          << t.name << " " << c.op << " 0x" << std::hex << h.digest();
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 // Tests for the ILT engine: initialization, loss descent, convergence on
-// printable decompositions, violation-triggered aborts and trajectories.
+// printable decompositions, violation-triggered aborts, trajectories and
+// the edge-weighted loss.
 #include <gtest/gtest.h>
 
 #include "common/error.h"
@@ -252,6 +253,55 @@ TEST(IltOptimize, MasksStayWithinGrid) {
     EXPECT_TRUE(result.mask1[i] == 0.0 || result.mask1[i] == 1.0);
     EXPECT_TRUE(result.mask2[i] == 0.0 || result.mask2[i] == 1.0);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Edge-weighted loss (IltConfig::edge_weight), on a 4-kernel model.
+
+litho::LithoConfig fast_litho() {
+  litho::LithoConfig cfg;
+  cfg.grid_size = 64;
+  cfg.pixel_nm = 16.0;
+  cfg.kernel_count = 4;
+  return cfg;
+}
+
+const litho::LithoSimulator& simulator() {
+  static litho::LithoSimulator sim(fast_litho());
+  return sim;
+}
+
+TEST(EdgeWeightedIlt, WeightsMarkTargetEdgesOnly) {
+  opc::IltConfig cfg;
+  cfg.edge_weight = 2.0;
+  opc::IltEngine engine(simulator(), cfg);
+  const layout::Layout l = isolated_contact();
+  const opc::IltState state = engine.init_state(l, {0});
+  ASSERT_FALSE(state.loss_weights.empty());
+  const layout::RasterTransform t = simulator().transform_for(l);
+  const int cy = static_cast<int>(t.to_px_y(512));
+  const int cx = static_cast<int>(t.to_px_x(512));
+  EXPECT_DOUBLE_EQ(state.loss_weights.at(2, 2), 1.0);     // far background
+  EXPECT_DOUBLE_EQ(state.loss_weights.at(cy, cx), 1.0);   // pattern interior
+  const int edge_x = static_cast<int>(t.to_px_x(480));    // left edge
+  EXPECT_GT(state.loss_weights.at(cy, edge_x), 1.0);
+}
+
+TEST(EdgeWeightedIlt, DisabledByDefault) {
+  opc::IltEngine engine(simulator());
+  const opc::IltState state = engine.init_state(isolated_contact(), {0});
+  EXPECT_TRUE(state.loss_weights.empty());
+}
+
+TEST(EdgeWeightedIlt, ConvergesOnIsolatedContact) {
+  opc::IltConfig cfg;
+  cfg.max_iterations = 12;
+  cfg.theta_m_anneal = 1.2;
+  cfg.edge_weight = 3.0;
+  opc::IltEngine engine(simulator(), cfg);
+  const opc::IltResult result = engine.optimize(isolated_contact(), {0});
+  EXPECT_EQ(result.report.violations.total(), 0);
+  EXPECT_LE(result.report.epe.violation_count, 1);
 }
 
 }  // namespace
