@@ -100,21 +100,6 @@ double fresh_p95(serve::Server& server, std::uint64_t& next_seed, int count) {
   return percentile(latencies, 0.95);
 }
 
-std::vector<std::uint8_t> file_bytes(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) {
-    std::fprintf(stderr, "bench_flywheel: cannot read %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::vector<std::uint8_t> bytes;
-  unsigned char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-    bytes.insert(bytes.end(), buf, buf + n);
-  std::fclose(f);
-  return bytes;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -127,7 +112,6 @@ int main(int argc, char** argv) {
   const int corpus = std::atoi(flag_value(argc, argv, "--corpus", "24"));
   const std::string report_dir = flag_value(argc, argv, "--report-dir", ".");
   const std::string log_path = "ldmo_bench_flywheel.log";
-  const std::string scratch = "ldmo_bench_flywheel_scratch.bin";
   std::remove(log_path.c_str());
 
   // --- 1. capture-overhead drill -------------------------------------------
@@ -250,16 +234,11 @@ int main(int argc, char** argv) {
     tcfg.adam.learning_rate = 3e-3;
     nn::train_regressor(mistrained, inverted, tcfg);
   }
-  nn::save_parameters(mistrained.parameters(), scratch);
-  const std::vector<std::uint8_t> mistrained_blob = file_bytes(scratch);
+  const std::vector<std::uint8_t> mistrained_blob =
+      nn::encode_parameters(mistrained.parameters());
 
   // Deploy the mistrained model (versioned v0) and point the tuner at it.
-  {
-    auto net = std::make_unique<nn::ResNetRegressor>(network);
-    nn::load_parameters(net->parameters(), scratch);
-    server.swap_backend(std::make_unique<core::VersionedPredictor>(
-        std::make_unique<core::CnnPredictor>(std::move(net)), 0));
-  }
+  server.swap_backend(core::versioned_cnn(mistrained_blob, 0, network));
 
   flywheel::TunerConfig tcfg;
   tcfg.log_path = log_path;
@@ -270,9 +249,7 @@ int main(int argc, char** argv) {
   tcfg.min_new_records = static_cast<std::size_t>(corpus);
   tcfg.holdout_every = 4;
   tcfg.poll_interval_ms = 50;
-  tcfg.scratch_path = scratch + ".candidate";
-  flywheel::FineTuner tuner(tcfg,
-                            flywheel::local_promoter(server, network, scratch));
+  flywheel::FineTuner tuner(tcfg, flywheel::local_promoter(server, network));
   tuner.set_incumbent(mistrained_blob);
 
   // The flywheel round runs while the server keeps taking traffic — the
@@ -308,8 +285,8 @@ int main(int argc, char** argv) {
                  "live traffic;\n# the capture sink logs %d (decomposition "
                  "image, actual ILT score)\n# pairs; the background "
                  "fine-tuner fires a gated round and promotes\n# the "
-                 "recovered candidate through the in-process blue/green "
-                 "swap.\n\n",
+                 "recovered candidate through Server::swap_backend."
+                 "\n\n",
                  corpus);
     std::fprintf(f,
                  "training log: %zu pairs (%zu train / %zu held out per "
@@ -338,9 +315,6 @@ int main(int argc, char** argv) {
               promoted ? "yes" : "NO", round.incumbent_corr,
               round.candidate_corr, server.predictor_name().c_str(),
               failed_during);
-  std::remove(scratch.c_str());
-  std::remove((scratch + ".candidate").c_str());
-  std::remove((scratch + ".candidate.incumbent").c_str());
   std::remove(log_path.c_str());
 
   const bool pass = overhead_ok && promoted && recovered &&

@@ -140,7 +140,7 @@ int usage() {
                "--flywheel: online-learning loop on the serve daemon —\n"
                "capture completed non-degraded runs to LOG, background\n"
                "fine-tune the predictor CNN on them, and hot-swap the\n"
-               "candidate in (blue/green, cache keys retired) only when it\n"
+               "candidate in (in memory, cache keys retired) only when it\n"
                "beats the incumbent's held-out rank correlation\n"
                "--admin-port: serve live telemetry on 127.0.0.1:P\n"
                "(/metrics /healthz /readyz /varz /trace /flightrecorder;\n"
@@ -886,9 +886,8 @@ int cmd_serve(int argc, char** argv) {
 
   // Online-learning flywheel: capture completed runs into a training log
   // and fine-tune/promote the predictor in the background (DESIGN.md §16).
-  // The sink hangs off the serve config (so the daemon's blue/green swaps
-  // carry it into every replacement server); the tuner promotes through
-  // the daemon's versioned swap path, exactly like a wire swap-weights.
+  // The sink hangs off the serve config; the tuner promotes through the
+  // daemon's versioned swap path, exactly like a wire swap-weights.
   const char* flywheel_log = flag_value(argc, argv, "--flywheel", nullptr);
   std::shared_ptr<flywheel::TrainingLogSink> sink;
   if (flywheel_log) {
@@ -1027,9 +1026,9 @@ int cmd_net_stats(int argc, char** argv) {
   return 0;
 }
 
-// Versioned weight hot-swap: push a weights file (or, with no --weights, a
-// rolling restart that keeps the current weights and carries the warm
-// cache across) to a worker — or to a router, which broadcasts it.
+// Versioned weight hot-swap: push a CNN weights file and/or a warm-start
+// MaskNet file to a worker — or to a router, which broadcasts it. With
+// neither, the swap changes nothing and reports the active version.
 int cmd_swap_weights(int argc, char** argv) {
   const char* port = flag_value(argc, argv, "--port", nullptr);
   if (!port) return usage();

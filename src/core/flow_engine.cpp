@@ -28,6 +28,7 @@ void FlowEngine::set_warm_start(
     require(warm_start->grid_size() == simulator_.grid_size(),
             "FlowEngine::set_warm_start: initializer grid does not match "
             "the simulator");
+    config_.flow.warm_start.enabled = true;
   }
   warm_start_ = std::move(warm_start);
 }

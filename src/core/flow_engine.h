@@ -64,9 +64,10 @@ class FlowEngine {
   PrintabilityPredictor& predictor() { return *predictor_; }
 
   /// Installs (or clears) the learned warm-start initializer. Shared so the
-  /// serving layer can point every dispatcher engine at one model; only
-  /// consulted when config().flow.warm_start.enabled. The initializer's
-  /// grid must match the simulator (checked here, throws ldmo::Error).
+  /// serving layer can point every dispatcher engine at one model. A
+  /// non-null initializer also turns config().flow.warm_start.enabled on.
+  /// The initializer's grid must match the simulator (checked here, throws
+  /// ldmo::Error).
   void set_warm_start(std::shared_ptr<const MaskInitializer> warm_start);
   const MaskInitializer* warm_start() const { return warm_start_.get(); }
 

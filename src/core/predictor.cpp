@@ -118,6 +118,15 @@ void CnnPredictor::load(const std::string& path) {
   nn::load_parameters(network_->parameters(), path);
 }
 
+std::unique_ptr<PrintabilityPredictor> versioned_cnn(
+    const std::vector<std::uint8_t>& blob, std::uint64_t version,
+    const nn::ResNetConfig& network) {
+  auto net = std::make_unique<nn::ResNetRegressor>(network);
+  nn::decode_parameters(net->parameters(), blob);
+  return std::make_unique<VersionedPredictor>(
+      std::make_unique<CnnPredictor>(std::move(net)), version);
+}
+
 IltOraclePredictor::IltOraclePredictor(const opc::IltEngine& engine,
                                        litho::ScoreWeights weights)
     : engine_(engine), weights_(weights) {}

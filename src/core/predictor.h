@@ -92,9 +92,9 @@ class CnnPredictor : public PrintabilityPredictor {
 
 /// Decorator that folds a weight version into the predictor identity:
 /// "cnn" becomes "cnn@v3". serve::config_fingerprint hashes the predictor
-/// name, so every weight promotion — the daemon's wire swap and the
-/// flywheel's in-process swap — changes every cache key and stale results
-/// become unreachable rather than wrong.
+/// name, so every weight promotion (serve::Server::swap_backend, reached
+/// from the daemon's wire swap and the flywheel) changes every cache key
+/// and stale results become unreachable rather than wrong.
 class VersionedPredictor : public PrintabilityPredictor {
  public:
   VersionedPredictor(std::unique_ptr<PrintabilityPredictor> inner,
@@ -124,6 +124,13 @@ class VersionedPredictor : public PrintabilityPredictor {
   std::uint64_t version_ = 0;
   std::string name_;
 };
+
+/// What a weight push installs: a CnnPredictor of architecture `network`
+/// holding the weights decoded from `blob` (nn::encode_parameters format),
+/// named "cnn@v<version>". Throws on a blob that does not fit `network`.
+std::unique_ptr<PrintabilityPredictor> versioned_cnn(
+    const std::vector<std::uint8_t>& blob, std::uint64_t version,
+    const nn::ResNetConfig& network = {});
 
 /// Oracle predictor: runs the full ILT optimization and returns the true
 /// Eq. 9 score. Exact but as expensive as the thing the CNN replaces —

@@ -91,6 +91,19 @@ int open_validated(const std::string& path, std::ifstream& in,
   return static_cast<int>(image_size);
 }
 
+/// Reads the next record into `pair`; false when its checksum fails.
+bool read_record(std::istream& in, int image_size, TrainingPair& pair,
+                 const std::string& path) {
+  pair.image.resize(static_cast<std::size_t>(image_size) *
+                    static_cast<std::size_t>(image_size));
+  in.read(reinterpret_cast<char*>(pair.image.data()),
+          static_cast<std::streamsize>(image_bytes(image_size)));
+  pair.score = score_from_bits(read_u64_le(in));
+  const std::uint64_t stored = read_u64_le(in);
+  require(in.good(), "flywheel log: short read in " + path);
+  return stored == pair_checksum(pair, image_size);
+}
+
 }  // namespace
 
 std::size_t training_log_record_bytes(int image_size) {
@@ -112,17 +125,25 @@ TrainingLogWriter::TrainingLogWriter(std::string path, int image_size)
             "TrainingLogWriter: existing log " + path_ + " has image size " +
                 std::to_string(file_size) + ", expected " +
                 std::to_string(image_size_));
-    check.close();
     // A torn tail (crashed append) is truncated away so the next append
-    // starts on a whole-record boundary; the lost partial record was never
-    // trustworthy anyway.
+    // starts on a whole-record boundary. The writer drops exactly what the
+    // reader drops: a trailing partial record, and a final whole record
+    // whose checksum fails — kept, it would become bit rot the moment
+    // another record lands behind it.
     const std::size_t record = training_log_record_bytes(image_size_);
-    const std::size_t whole = (size - kHeaderBytes) / record;
-    const std::size_t aligned = kHeaderBytes + whole * record;
-    if (aligned != size) {
+    std::size_t whole = (size - kHeaderBytes) / record;
+    if (whole > 0) {
+      check.seekg(static_cast<std::streamoff>(kHeaderBytes +
+                                              (whole - 1) * record));
+      TrainingPair last;
+      if (!read_record(check, image_size_, last, path_)) --whole;
+    }
+    check.close();
+    const std::size_t kept = kHeaderBytes + whole * record;
+    if (kept != size) {
       log_warn("flywheel log: truncating torn tail of ", path_, " (",
-               size - aligned, " stray bytes)");
-      std::filesystem::resize_file(path_, aligned);
+               size - kept, " bytes)");
+      std::filesystem::resize_file(path_, kept);
     }
     return;  // header already present, appends go to the end
   }
@@ -160,18 +181,10 @@ TrainingLog read_training_log(const std::string& path) {
   const std::size_t payload = size - kHeaderBytes;
   const std::size_t count = payload / record;
   log.torn_tail = payload % record != 0;
-  const std::size_t n = static_cast<std::size_t>(log.image_size) *
-                        static_cast<std::size_t>(log.image_size);
   log.pairs.reserve(count);
   for (std::size_t r = 0; r < count; ++r) {
     TrainingPair pair;
-    pair.image.resize(n);
-    in.read(reinterpret_cast<char*>(pair.image.data()),
-            static_cast<std::streamsize>(n * sizeof(float)));
-    pair.score = score_from_bits(read_u64_le(in));
-    const std::uint64_t stored = read_u64_le(in);
-    require(in.good(), "flywheel log: short read in " + path);
-    if (stored != pair_checksum(pair, log.image_size)) {
+    if (!read_record(in, log.image_size, pair, path)) {
       // Final record: a torn append that happened to land on a record
       // boundary. Anywhere earlier: bit rot — refuse the whole log.
       require(r + 1 == count,

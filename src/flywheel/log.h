@@ -40,14 +40,16 @@ struct TrainingLog {
   std::vector<TrainingPair> pairs;
   /// True when the file ended in a partial or checksum-failed final record
   /// (dropped from `pairs`). Expected after a crash mid-append; the next
-  /// append overwrites nothing — the writer always appends at the end of
-  /// the last WHOLE record boundary it can trust.
+  /// writer truncates exactly that tail, so its appends land after the
+  /// last record the reader trusts.
   bool torn_tail = false;
 };
 
 /// Appends pairs to `path`, creating the file (with header) when absent.
-/// Opening an existing file validates magic and image size; a torn tail is
-/// truncated away so subsequent appends land on a record boundary.
+/// Opening an existing file validates magic and image size and truncates
+/// the torn tail read_training_log would drop (a partial record, and a
+/// final whole record whose checksum fails), so subsequent appends land on
+/// a trusted record boundary.
 class TrainingLogWriter {
  public:
   TrainingLogWriter(std::string path, int image_size);

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "common/error.h"
@@ -17,35 +16,6 @@
 #include "serve/server.h"
 
 namespace ldmo::flywheel {
-namespace {
-
-std::string scratch_path_for(const TunerConfig& config) {
-  return config.scratch_path.empty() ? config.log_path + ".candidate.bin"
-                                     : config.scratch_path;
-}
-
-void write_bytes(const std::string& path,
-                 const std::vector<std::uint8_t>& blob) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  require(out.good(), "flywheel: cannot write " + path);
-  out.write(reinterpret_cast<const char*>(blob.data()),
-            static_cast<std::streamsize>(blob.size()));
-  out.flush();
-  require(out.good(), "flywheel: write failed for " + path);
-}
-
-std::vector<std::uint8_t> read_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  require(in.good(), "flywheel: cannot read " + path);
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::uint8_t> blob(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(blob.data()), size);
-  require(in.good(), "flywheel: short read from " + path);
-  return blob;
-}
-
-}  // namespace
 
 FineTuner::FineTuner(TunerConfig config, PromoteFn promote)
     : config_(std::move(config)), promote_(std::move(promote)) {
@@ -60,9 +30,7 @@ FineTuner::~FineTuner() { stop(); }
 
 void FineTuner::set_incumbent(const std::vector<std::uint8_t>& blob) {
   auto model = std::make_unique<nn::ResNetRegressor>(config_.network);
-  const std::string path = scratch_path_for(config_) + ".incumbent";
-  write_bytes(path, blob);
-  nn::load_parameters(model->parameters(), path);
+  nn::decode_parameters(model->parameters(), blob);
   std::lock_guard<std::mutex> lock(model_mu_);
   incumbent_ = std::move(model);
   has_incumbent_ = true;
@@ -174,13 +142,12 @@ TuneRound FineTuner::run_once() {
   obs::gauge("flywheel.corr.candidate").set(round.candidate_corr);
 
   if (round.candidate_corr > round.incumbent_corr + config_.min_gain) {
-    // Weight serialization runs the "nn.save" failpoint; any fault in the
+    // Weight encoding runs the "nn.save" failpoint; any fault in the
     // promotion path aborts THIS round only — the incumbent keeps serving
-    // and the next round gets a fresh shot (ISSUE-10 fault drill).
+    // and the next round gets a fresh shot.
     try {
-      const std::string scratch = scratch_path_for(config_);
-      nn::save_parameters(candidate->parameters(), scratch);
-      const std::vector<std::uint8_t> blob = read_bytes(scratch);
+      const std::vector<std::uint8_t> blob =
+          nn::encode_parameters(candidate->parameters());
       const std::uint64_t version = version_.fetch_add(1) + 1;
       if (promote_) promote_(version, blob);
       incumbent_ = std::move(candidate);
@@ -240,15 +207,10 @@ void FineTuner::stop() {
   if (loop_.joinable()) loop_.join();
 }
 
-PromoteFn local_promoter(serve::Server& server, nn::ResNetConfig network,
-                         std::string scratch_path) {
-  return [&server, network, scratch_path = std::move(scratch_path)](
-             std::uint64_t version, const std::vector<std::uint8_t>& blob) {
-    write_bytes(scratch_path, blob);
-    auto net = std::make_unique<nn::ResNetRegressor>(network);
-    nn::load_parameters(net->parameters(), scratch_path);
-    server.swap_backend(std::make_unique<core::VersionedPredictor>(
-        std::make_unique<core::CnnPredictor>(std::move(net)), version));
+PromoteFn local_promoter(serve::Server& server, nn::ResNetConfig network) {
+  return [&server, network](std::uint64_t version,
+                            const std::vector<std::uint8_t>& blob) {
+    server.swap_backend(core::versioned_cnn(blob, version, network));
   };
 }
 

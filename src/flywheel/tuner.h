@@ -17,15 +17,17 @@
 //      at least min_gain. A worse candidate is discarded and the
 //      incumbent keeps serving — mistraining is contained by the gate.
 //
-// Promotion serializes the candidate's weights (through nn::save_parameters
+// Promotion encodes the candidate's weights in memory (nn::encode_parameters
 // and its "nn.save" failpoint — a fault here aborts the round, incumbent
 // intact) and hands the blob to the PromoteFn with a fresh version number.
-// The PromoteFn is the deployment edge: locally it wraps the blob in a
+// The PromoteFn is the deployment edge: locally it decodes the blob into a
 // core::VersionedPredictor and calls serve::Server::swap_backend
-// (local_promoter below); over the wire it calls the net client's
-// swap-weights verb. Either way the versioned name changes the config
+// (local_promoter below); in a daemon it calls ServeDaemon::swap_weights,
+// and over the wire the net client's swap-weights verb — both of which end
+// in swap_backend too. Either way the versioned name changes the config
 // fingerprint, so every cached result and score from the old model is
-// retired atomically with the swap (DESIGN.md §16).
+// retired atomically with the swap (DESIGN.md §16). No weight byte touches
+// the disk on the way.
 #pragma once
 
 #include <atomic>
@@ -68,9 +70,6 @@ struct TunerConfig {
   double min_gain = 0.0;
   /// Background-thread poll cadence.
   int poll_interval_ms = 200;
-  /// Scratch path for candidate weight serialization; defaults to
-  /// log_path + ".candidate.bin" when empty.
-  std::string scratch_path;
 };
 
 /// What one run_once() observed and decided.
@@ -91,7 +90,7 @@ struct TuneRound {
 };
 
 /// Deployment edge: receives a freshly assigned version number and the
-/// serialized weight blob (nn::save_parameters format) of the promoted
+/// serialized weight blob (nn::encode_parameters format) of the promoted
 /// candidate. Must throw on failure — the tuner then keeps the incumbent.
 using PromoteFn =
     std::function<void(std::uint64_t version,
@@ -105,9 +104,9 @@ class FineTuner {
   FineTuner(const FineTuner&) = delete;
   FineTuner& operator=(const FineTuner&) = delete;
 
-  /// Installs incumbent weights (nn::save_parameters blob, e.g. the bytes
-  /// the serve daemon loaded at boot) so round one competes against the
-  /// deployed model instead of a fresh init.
+  /// Installs incumbent weights (nn::encode_parameters blob, e.g. the
+  /// bytes of the weight file the serve daemon booted with) so round one
+  /// competes against the deployed model instead of a fresh init.
   void set_incumbent(const std::vector<std::uint8_t>& blob);
 
   /// One synchronous flywheel round; see the file comment for the arc.
@@ -150,13 +149,11 @@ class FineTuner {
   std::thread loop_;
 };
 
-/// PromoteFn for the in-process path: deserializes the blob into a fresh
-/// CnnPredictor (architecture `network`), wraps it in
+/// PromoteFn for the in-process path: decodes the blob in memory into a
+/// fresh CnnPredictor (architecture `network`), wraps it in
 /// core::VersionedPredictor ("cnn@vN") and swap_backend()s it into
 /// `server` — retiring all cached results/scores from the old model via
-/// the fingerprint change. `scratch_path` stages the blob for
-/// nn::load_parameters. The server must outlive the returned function.
-PromoteFn local_promoter(serve::Server& server, nn::ResNetConfig network,
-                         std::string scratch_path);
+/// the fingerprint change. The server must outlive the returned function.
+PromoteFn local_promoter(serve::Server& server, nn::ResNetConfig network);
 
 }  // namespace ldmo::flywheel

@@ -104,14 +104,9 @@ std::uint64_t Client::swap_weights(
     std::uint64_t version, const std::vector<std::uint8_t>& blob,
     const std::vector<std::uint8_t>& warm_blob) {
   WireWriter w;
-  w.u64(version);
-  w.blob(blob);
-  // The warm-start section is appended only when present: an old-style
-  // payload (u64 + blob) and a new-style one without warm weights are
-  // byte-identical, so the wire format stays compatible both ways.
-  if (!warm_blob.empty()) w.blob(warm_blob);
-  // No transport retry: a swap is not idempotent from the cache's point of
-  // view (the blue/green handoff runs once); the caller decides whether to
+  write_weight_swap(w, WeightSwap{version, blob, warm_blob});
+  // No transport retry: a swap with version 0 assigns the next version,
+  // so replaying it is not idempotent; the caller decides whether to
   // re-issue after a fault.
   const Frame reply = roundtrip(MessageType::kSwapWeights, w.take(),
                                 MessageType::kSwapAck);
@@ -119,64 +114,6 @@ std::uint64_t Client::swap_weights(
   const std::uint64_t active = r.u64();
   r.expect_end();
   return active;
-}
-
-AsyncClient::AsyncClient(ClientConfig config, int workers)
-    : config_(config) {
-  if (workers < 1) workers = 1;
-  threads_.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i)
-    threads_.emplace_back([this] { worker_loop(); });
-}
-
-AsyncClient::~AsyncClient() { shutdown(); }
-
-std::future<serve::ServeResponse> AsyncClient::submit(
-    serve::ServeRequest request) {
-  Job job;
-  job.request = std::move(request);
-  std::future<serve::ServeResponse> future = job.promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) {
-      job.promise.set_exception(std::make_exception_ptr(FlowException(
-          FlowStage::kNet, "AsyncClient: submit after shutdown")));
-      return future;
-    }
-    queue_.push_back(std::move(job));
-  }
-  cv_.notify_one();
-  return future;
-}
-
-void AsyncClient::shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) return;
-    closed_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& thread : threads_) thread.join();
-  threads_.clear();
-}
-
-void AsyncClient::worker_loop() {
-  Client client(config_);
-  for (;;) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return closed_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // closed and drained
-      job = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    try {
-      job.promise.set_value(client.submit(job.request));
-    } catch (...) {
-      job.promise.set_exception(std::current_exception());
-    }
-  }
 }
 
 }  // namespace ldmo::net

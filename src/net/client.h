@@ -1,6 +1,5 @@
 // Client side of the wire protocol: a blocking connection to one worker or
-// router, and an async wrapper that pumps a bounded number of concurrent
-// connections.
+// router. Concurrency comes from one Client per thread.
 //
 // Submits are idempotent by construction — the result of a request is a
 // pure function of (configuration, layout geometry), and the server's
@@ -12,13 +11,8 @@
 // answers, not transport faults, and are never retried here.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/frame.h"
@@ -57,13 +51,12 @@ class Client {
   /// fault (after retries).
   WorkerStats stats();
 
-  /// Pushes a weight blob (empty = rolling restart with current weights)
-  /// and returns the version the worker acknowledged as active.
-  /// `warm_blob` (optional) carries new warm-start MaskNet weights in the
-  /// same swap; the daemon loads them into a fresh MaskWarmStart whose
-  /// bumped version retires warm-start-dependent cache keys (ISSUE-10
-  /// satellite 2 — previously a weight push left workers on the old
-  /// MaskNet). Empty keeps the current warm-start model.
+  /// Pushes a CNN weight blob (empty = keep the current weights) and
+  /// returns the version the worker acknowledged as active. `warm_blob`
+  /// (optional) carries new warm-start MaskNet weights in the same swap;
+  /// their weight fingerprint retires warm-start-dependent cache keys.
+  /// Empty keeps the current warm-start model. Sent to a router, the swap
+  /// is broadcast to every worker.
   std::uint64_t swap_weights(std::uint64_t version,
                              const std::vector<std::uint8_t>& blob,
                              const std::vector<std::uint8_t>& warm_blob = {});
@@ -83,39 +76,6 @@ class Client {
   ClientConfig config_;
   Socket sock_;
   std::string peer_;
-};
-
-/// Async facade: `workers` threads, each owning its own Client connection,
-/// drain a bounded submit queue. submit() returns a future that resolves to
-/// the worker's ServeResponse (or rethrows the transport fault).
-class AsyncClient {
- public:
-  AsyncClient(ClientConfig config, int workers = 4);
-  ~AsyncClient();
-
-  AsyncClient(const AsyncClient&) = delete;
-  AsyncClient& operator=(const AsyncClient&) = delete;
-
-  std::future<serve::ServeResponse> submit(serve::ServeRequest request);
-
-  /// Finishes queued work and joins the worker threads (idempotent; the
-  /// destructor calls it).
-  void shutdown();
-
- private:
-  struct Job {
-    serve::ServeRequest request;
-    std::promise<serve::ServeResponse> promise;
-  };
-
-  void worker_loop();
-
-  ClientConfig config_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Job> queue_;
-  bool closed_ = false;
-  std::vector<std::thread> threads_;
 };
 
 }  // namespace ldmo::net

@@ -3,9 +3,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
-#include <fstream>
 #include <utility>
 
 #include "common/flow_error.h"
@@ -25,13 +23,15 @@ namespace {
 constexpr int kPollMillis = 100;        ///< stop-flag latency per connection
 constexpr double kFrameTimeout = 30.0;  ///< mid-frame stall guard
 
-std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    throw FlowException(FlowStage::kNet,
-                        "daemon: cannot read weights file " + path);
-  return std::vector<std::uint8_t>{std::istreambuf_iterator<char>(in),
-                                   std::istreambuf_iterator<char>()};
+/// The boot predictor: the CNN in `weights_path` as "cnn@v0", or null
+/// for the server's raw-print fallback.
+std::unique_ptr<core::PrintabilityPredictor> boot_predictor(
+    const std::string& weights_path) {
+  if (weights_path.empty()) return nullptr;
+  auto cnn = std::make_unique<core::CnnPredictor>(
+      std::make_unique<nn::ResNetRegressor>());
+  cnn->load(weights_path);
+  return std::make_unique<core::VersionedPredictor>(std::move(cnn), 0);
 }
 
 std::string peer_of(int fd) {
@@ -47,24 +47,13 @@ void send_error(int fd, const std::string& peer, FlowStage stage,
   send_error_frame(fd, peer, static_cast<int>(stage), message);
 }
 
-void stage_bytes(const std::string& path,
-                 const std::vector<std::uint8_t>& blob) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(blob.data()),
-            static_cast<std::streamsize>(blob.size()));
-  if (!out)
-    throw FlowException(FlowStage::kNet,
-                        "daemon: cannot stage weights at " + path);
-}
-
 }  // namespace
 
 ServeDaemon::ServeDaemon(DaemonConfig config)
-    : config_(std::move(config)), listener_(config_.listen_port) {
-  if (!config_.weights_path.empty())
-    weights_blob_ = read_file_bytes(config_.weights_path);
-  server_ = build_server(0);
-
+    : config_(std::move(config)),
+      server_(std::make_shared<serve::Server>(
+          config_.serve, boot_predictor(config_.weights_path))),
+      listener_(config_.listen_port) {
   if (!config_.snapshot_path.empty()) {
     if (std::optional<CacheSnapshot> snapshot =
             load_cache_snapshot(config_.snapshot_path)) {
@@ -89,29 +78,6 @@ ServeDaemon::ServeDaemon(DaemonConfig config)
 
 ServeDaemon::~ServeDaemon() { stop(); }
 
-std::shared_ptr<serve::Server> ServeDaemon::build_server(
-    std::uint64_t version) {
-  std::unique_ptr<core::PrintabilityPredictor> backend;
-  if (!weights_blob_.empty()) {
-    // Reconstitute the CNN from the blob via the nn serializer (it
-    // validates the parameter layout, so an architecture mismatch fails
-    // loudly here instead of scoring garbage).
-    const std::string tmp =
-        stage_path(".v" + std::to_string(version));
-    stage_bytes(tmp, weights_blob_);
-    auto cnn = std::make_unique<core::CnnPredictor>(
-        std::make_unique<nn::ResNetRegressor>());
-    cnn->load(tmp);
-    std::remove(tmp.c_str());
-    backend =
-        std::make_unique<core::VersionedPredictor>(std::move(cnn), version);
-  }
-  // Null backend -> the server's raw-print fallback. Its name is version-
-  // independent, so an empty-blob swap (rolling restart) keeps the same
-  // config fingerprint and the cache handoff applies.
-  return std::make_shared<serve::Server>(config_.serve, std::move(backend));
-}
-
 void ServeDaemon::stop() {
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
@@ -126,18 +92,12 @@ void ServeDaemon::stop() {
     connections.swap(connections_);
   }
   for (std::thread& thread : connections) thread.join();
-
-  std::shared_ptr<serve::Server> server;
-  {
-    std::lock_guard<std::mutex> lock(swap_mu_);
-    server = server_;
-  }
-  server->shutdown(true);
+  server_->shutdown(true);
 
   if (!config_.snapshot_path.empty()) {
     CacheSnapshot snapshot;
-    snapshot.config_fingerprint = server->config_fingerprint();
-    snapshot.entries = server->export_result_cache();
+    snapshot.config_fingerprint = server_->config_fingerprint();
+    snapshot.entries = server_->export_result_cache();
     save_cache_snapshot(config_.snapshot_path, snapshot);
     obs::counter("net.daemon.snapshot.saved")
         .inc(static_cast<long long>(snapshot.entries.size()));
@@ -220,19 +180,8 @@ void ServeDaemon::handle_submit(int fd, const std::string& peer,
   serve::ServeRequest request = read_request(r);
   r.expect_end();
   obs::counter("net.daemon.requests").inc();
-
-  std::shared_ptr<serve::Server> server = this->server();
-  serve::RequestTicket ticket = server->submit(std::move(request));
-  serve::ServeResponse response = ticket.response.get();
-  if (response.status == serve::ServeStatus::kRejected &&
-      this->server() != server) {
-    // The submit raced a blue/green swap into a draining server; one
-    // retry lands it on the replacement.
-    WireReader replay_reader(payload, peer);
-    serve::ServeRequest replay = read_request(replay_reader);
-    ticket = this->server()->submit(std::move(replay));
-    response = ticket.response.get();
-  }
+  const serve::ServeResponse response =
+      server_->submit(std::move(request)).response.get();
 
   WireWriter w;
   write_response(w, response);
@@ -240,97 +189,52 @@ void ServeDaemon::handle_submit(int fd, const std::string& peer,
 }
 
 void ServeDaemon::handle_stats(int fd, const std::string& peer) {
-  std::shared_ptr<serve::Server> server = this->server();
   WorkerStats stats;
-  stats.config_fingerprint = server->config_fingerprint();
+  stats.config_fingerprint = server_->config_fingerprint();
   stats.weights_version = weights_version_.load();
-  stats.predictor = server->predictor_name();
+  stats.predictor = server_->predictor_name();
   for (int i = 0; i < serve::kServeStatusCount; ++i)
     stats.status_counts[i] =
-        server->status_count(static_cast<serve::ServeStatus>(i));
-  stats.cache_hits = server->result_cache_hits();
-  stats.cache_misses = server->result_cache_misses();
-  stats.cache_entries = server->result_cache_entries();
-  stats.queue_depth = server->queue_depth();
+        server_->status_count(static_cast<serve::ServeStatus>(i));
+  stats.cache_hits = server_->result_cache_hits();
+  stats.cache_misses = server_->result_cache_misses();
+  stats.cache_entries = server_->result_cache_entries();
+  stats.queue_depth = server_->queue_depth();
 
   WireWriter w;
   write_stats(w, stats);
   write_frame(fd, MessageType::kStatsResponse, w.bytes(), peer);
 }
 
-std::string ServeDaemon::stage_path(const std::string& suffix) const {
-  return (config_.snapshot_path.empty()
-              ? "/tmp/ldmo_weights_" + std::to_string(::getpid())
-              : config_.snapshot_path + ".weights") +
-         suffix;
-}
-
 std::uint64_t ServeDaemon::swap_weights(
     std::uint64_t requested_version, const std::vector<std::uint8_t>& blob,
     const std::vector<std::uint8_t>& warm_blob) {
-  std::shared_ptr<serve::Server> old_server;
-  std::uint64_t version;
-  {
-    // Swap critical section: building a Server is seconds of kernel setup,
-    // and holding swap_mu_ for it parks concurrent server() readers — an
-    // accepted cost; swaps are rare operator actions, not hot path.
-    std::lock_guard<std::mutex> lock(swap_mu_);
-    if (!blob.empty()) {
-      weights_blob_ = blob;
-      version = requested_version != 0 ? requested_version
-                                       : weights_version_.load() + 1;
-    } else {
-      version = weights_version_.load();  // rolling restart, same weights
-    }
-    if (!warm_blob.empty()) {
-      // Fresh warm-start model from the pushed weights. Its version is the
-      // weight fingerprint, which serve::config_fingerprint folds in — so
-      // even a warm-only push (empty predictor blob) changes the
-      // fingerprint, skips the cache handoff below, and retires every
-      // cached result the old MaskNet contributed to. Before this path
-      // existed a weight push left workers serving with the boot-time
-      // MaskNet forever.
-      const std::string tmp = stage_path(".warm");
-      stage_bytes(tmp, warm_blob);
-      auto warm = std::make_shared<warmstart::MaskWarmStart>(config_.warm_net);
-      warm->load(tmp);
-      std::remove(tmp.c_str());
-      config_.serve.warm_start = std::move(warm);
-      config_.serve.engine.flow.warm_start.enabled = true;
-    }
-    std::shared_ptr<serve::Server> fresh = build_server(version);
-    if (fresh->config_fingerprint() == server_->config_fingerprint()) {
-      const std::size_t moved =
-          fresh->import_result_cache(server_->export_result_cache());
-      obs::counter("net.daemon.swap.cache_handoff")
-          .inc(static_cast<long long>(moved));
-    }
-    old_server = server_;
-    server_ = std::move(fresh);
-    weights_version_.store(version);
+  std::lock_guard<std::mutex> lock(version_mu_);
+  std::uint64_t version = weights_version_.load();
+  std::unique_ptr<core::PrintabilityPredictor> predictor;
+  if (!blob.empty()) {
+    version = requested_version != 0 ? requested_version : version + 1;
+    predictor = core::versioned_cnn(blob, version);
   }
-  // Drain outside the lock: in-flight requests finish on the old server
-  // while new submits already land on the replacement.
-  old_server->shutdown(true);
+  std::shared_ptr<warmstart::MaskWarmStart> warm;
+  if (!warm_blob.empty()) {
+    warm = std::make_shared<warmstart::MaskWarmStart>(config_.warm_net);
+    warm->decode(warm_blob);
+  }
+  server_->swap_backend(std::move(predictor), std::move(warm));
+  weights_version_.store(version);
   obs::counter("net.daemon.swaps").inc();
-  log_info("daemon: weights swapped to version ", version, " (predictor ",
-           this->server()->predictor_name(), ")");
+  log_info("daemon: weights at version ", version, " (predictor ",
+           server_->predictor_name(), ")");
   return version;
 }
 
 void ServeDaemon::handle_swap(int fd, const std::string& peer,
                               const std::vector<std::uint8_t>& payload) {
   WireReader r(payload, peer);
-  const std::uint64_t requested_version = r.u64();
-  const std::vector<std::uint8_t> blob = r.blob();
-  // The warm-start section is optional: its absence is byte-identical to
-  // the pre-warm payload format, so old clients keep working.
-  std::vector<std::uint8_t> warm_blob;
-  if (r.remaining() > 0) warm_blob = r.blob();
+  const WeightSwap swap = read_weight_swap(r);
   r.expect_end();
-
-  const std::uint64_t version =
-      swap_weights(requested_version, blob, warm_blob);
+  const std::uint64_t version = swap_weights(swap.version, swap.cnn, swap.warm);
 
   WireWriter w;
   w.u64(version);

@@ -8,16 +8,14 @@
 // joined on stop(), so a daemon is TSan-clean to construct and destroy in
 // a test.
 //
-// Weight hot-swap (kSwapWeights) is blue/green: the daemon builds a brand
-// new serve::Server around the new weights, moves the public shared_ptr to
-// it, then drains and destroys the old one. In-flight requests finish on
-// the server that admitted them; new connections land on the new one. The
-// predictor is wrapped so its name carries the weight version ("cnn@v3") —
-// serve::config_fingerprint hashes the predictor name, so new weights
-// change every cache key and stale results become unreachable rather than
-// wrong. An empty blob keeps the current weights (a rolling restart): the
-// fingerprint is unchanged, and the warm result cache is carried across
-// the swap via export/import.
+// A daemon keeps one serve::Server for its whole life. A weight hot-swap
+// (kSwapWeights) decodes the pushed blobs in memory and installs them with
+// Server::swap_backend: in-flight requests finish on the old models, and
+// queued ones run on the new. The predictor is wrapped so its name carries
+// the weight version ("cnn@v3") — serve::config_fingerprint hashes the
+// predictor name, so new weights change every cache key, and the server
+// empties both cache tiers. A swap that carries neither blob changes
+// nothing: the fingerprint and the warm cache stay.
 //
 // Cache persistence: when configured with a snapshot path the daemon
 // restores the result cache from it at startup (if the fingerprint
@@ -43,8 +41,9 @@ struct DaemonConfig {
   /// TCP port on 127.0.0.1; 0 picks an ephemeral port (read via port()).
   int listen_port = 0;
   serve::ServeConfig serve;
-  /// Optional CNN weights to serve with (nn::save_parameters format);
-  /// empty serves the raw-print fallback predictor.
+  /// Optional CNN weights to serve with (nn::save_parameters format),
+  /// loaded at boot as "cnn@v0"; empty serves the raw-print fallback
+  /// predictor.
   std::string weights_path;
   /// Optional result-cache snapshot file: restored at startup, written at
   /// stop(). Empty disables persistence.
@@ -58,7 +57,7 @@ struct DaemonConfig {
 class ServeDaemon {
  public:
   /// Builds the server (restoring the cache snapshot when one matches) and
-  /// starts listening. Throws on bind failure or unreadable weights.
+  /// starts listening. Throws on unreadable weights or bind failure.
   explicit ServeDaemon(DaemonConfig config);
   ~ServeDaemon();
 
@@ -67,22 +66,22 @@ class ServeDaemon {
 
   int port() const { return listener_.port(); }
 
-  /// Currently active server (swaps under kSwapWeights; grab a copy).
-  std::shared_ptr<serve::Server> server() {
-    std::lock_guard<std::mutex> lock(swap_mu_);
-    return server_;
-  }
+  /// The daemon's server; the same object for the daemon's whole life.
+  std::shared_ptr<serve::Server> server() const { return server_; }
 
   std::uint64_t weights_version() const { return weights_version_.load(); }
 
-  /// Blue/green weight promotion — the wire verb (kSwapWeights) delegates
-  /// here, and in-process callers (the flywheel's serve --flywheel loop)
-  /// call it directly. `blob` carries new predictor CNN weights (empty =
-  /// rolling restart on current weights); `warm_blob` optionally carries
-  /// new warm-start MaskNet weights, loaded into a fresh MaskWarmStart
-  /// whose weight-fingerprint version feeds the config fingerprint — so a
-  /// warm-start push retires every warm-start-dependent cache key instead
-  /// of leaving workers on the old MaskNet. Returns the active version.
+  /// Weight promotion — the wire verb (kSwapWeights) delegates here, and
+  /// in-process callers (the flywheel's serve --flywheel loop) call it
+  /// directly. `blob` carries new predictor CNN weights, installed as
+  /// "cnn@v<version>" (version = requested_version, or the current one
+  /// plus 1 when that is 0); empty keeps the current weights. `warm_blob`
+  /// optionally carries new warm-start MaskNet weights (architecture
+  /// config.warm_net), whose weight fingerprint feeds the config
+  /// fingerprint, so a warm-start push retires every warm-start-dependent
+  /// cache key. Both are decoded in memory and installed together by
+  /// Server::swap_backend; a blob that fails to decode, or that the server
+  /// refuses, throws and changes nothing. Returns the active version.
   std::uint64_t swap_weights(std::uint64_t requested_version,
                              const std::vector<std::uint8_t>& blob,
                              const std::vector<std::uint8_t>& warm_blob = {});
@@ -106,21 +105,13 @@ class ServeDaemon {
   void handle_swap(int fd, const std::string& peer,
                    const std::vector<std::uint8_t>& payload);
 
-  /// Builds a Server around the given weight blob (empty = current
-  /// fallback/weights identity) with the version folded into the predictor
-  /// name.
-  std::shared_ptr<serve::Server> build_server(std::uint64_t version);
-  /// Scratch file for staging weight blobs through the nn serializer.
-  std::string stage_path(const std::string& suffix) const;
-
   DaemonConfig config_;
-  /// Current CNN weight blob (file bytes); empty = raw-print fallback.
-  std::vector<std::uint8_t> weights_blob_;
-  std::atomic<std::uint64_t> weights_version_{0};
+  const std::shared_ptr<serve::Server> server_;
   std::size_t restored_entries_ = 0;
-
-  std::mutex swap_mu_;  ///< guards server_ swaps and weights_blob_
-  std::shared_ptr<serve::Server> server_;
+  /// Held by swap_weights from choosing a version to recording it, so two
+  /// concurrent pushes cannot both claim "cnn@v<n+1>".
+  std::mutex version_mu_;
+  std::atomic<std::uint64_t> weights_version_{0};
 
   TcpListener listener_;
   std::atomic<bool> stopping_{false};

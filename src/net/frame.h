@@ -41,9 +41,9 @@ enum class MessageType : std::uint16_t {
   kPong = 4,            ///< liveness answer (empty payload)
   kStats = 5,           ///< stats query (empty payload)
   kStatsResponse = 6,   ///< worker -> caller (payload: "st1")
-  kSwapWeights = 7,     ///< weight hot-swap (payload: u64 version +
-                        ///< u32 blob length + serialized weights; an empty
-                        ///< blob means "rolling restart, same weights")
+  kSwapWeights = 7,     ///< weight hot-swap (payload: wire.h WeightSwap —
+                        ///< u64 version, CNN blob, optional MaskNet blob;
+                        ///< an empty blob keeps that model)
   kSwapAck = 8,         ///< swap applied (payload: u64 active version)
   kError = 9,           ///< request-level failure (payload: u8 stage + str)
 };

@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/error.h"
@@ -213,6 +214,17 @@ Router::Shard& Router::shard_for_port(int port) {
   return *shards_.front();
 }
 
+Client& Router::client_for(Shard& shard) {
+  if (!shard.client)
+    shard.client = std::make_unique<Client>(ClientConfig{
+        .port = shard.port,
+        .timeout_seconds = config_.worker_timeout_seconds,
+        .connect_attempts = 3,
+        .net_retries = config_.worker_net_retries,
+    });
+  return *shard.client;
+}
+
 std::uint64_t Router::config_fingerprint() {
   std::uint64_t fp = config_fp_.load();
   if (fp != 0) return fp;
@@ -221,14 +233,7 @@ std::uint64_t Router::config_fingerprint() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     try {
-      if (!shard->client)
-        shard->client = std::make_unique<Client>(ClientConfig{
-            .port = shard->port,
-            .timeout_seconds = config_.worker_timeout_seconds,
-            .connect_attempts = 3,
-            .net_retries = config_.worker_net_retries,
-        });
-      fp = shard->client->stats().config_fingerprint;
+      fp = client_for(*shard).stats().config_fingerprint;
       config_fp_.store(fp);
       return fp;
     } catch (const FlowException&) {
@@ -255,14 +260,7 @@ void Router::handle_submit(int fd, const std::string& peer,
     Shard& shard = shard_for_port(order[i]);
     std::lock_guard<std::mutex> lock(shard.mu);
     try {
-      if (!shard.client)
-        shard.client = std::make_unique<Client>(ClientConfig{
-            .port = shard.port,
-            .timeout_seconds = config_.worker_timeout_seconds,
-            .connect_attempts = 3,
-            .net_retries = config_.worker_net_retries,
-        });
-      const serve::ServeResponse response = shard.client->submit(request);
+      const serve::ServeResponse response = client_for(shard).submit(request);
       shard.forwarded->inc();
       if (i > 0) obs::counter("net.router.failovers").inc();
       WireWriter w;
@@ -288,14 +286,7 @@ void Router::handle_stats(int fd, const std::string& peer) {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     try {
-      if (!shard->client)
-        shard->client = std::make_unique<Client>(ClientConfig{
-            .port = shard->port,
-            .timeout_seconds = config_.worker_timeout_seconds,
-            .connect_attempts = 3,
-            .net_retries = config_.worker_net_retries,
-        });
-      const WorkerStats stats = shard->client->stats();
+      const WorkerStats stats = client_for(*shard).stats();
       config_fp_.store(stats.config_fingerprint);
       WireWriter w;
       write_stats(w, stats);
@@ -313,33 +304,36 @@ void Router::handle_stats(int fd, const std::string& peer) {
 
 void Router::handle_swap(int fd, const std::string& peer,
                          const std::vector<std::uint8_t>& payload) {
+  // Decoded once, before any shard is touched: a malformed payload is the
+  // sender's decode error, not a shard fault.
+  WireReader r(payload, peer);
+  const WeightSwap swap = read_weight_swap(r);
+  r.expect_end();
+
   // Broadcast: every worker swaps to the same version; the ack carries the
   // version the last worker reported. A shard that is down simply misses
-  // the swap (it restarts with its own weights; the operator re-issues).
+  // the swap (it restarts with its own weights; the operator re-issues). A
+  // shard that refuses the swap answers for itself; the others still get
+  // it, and the error reply names every refusing shard.
   std::uint64_t version = 0;
   int reached = 0;
+  std::optional<FlowStage> refused_stage;
+  std::string refusals;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     try {
-      if (!shard->client)
-        shard->client = std::make_unique<Client>(ClientConfig{
-            .port = shard->port,
-            .timeout_seconds = config_.worker_timeout_seconds,
-            .connect_attempts = 3,
-            .net_retries = config_.worker_net_retries,
-        });
-      WireReader r(payload, peer);
-      const std::uint64_t requested = r.u64();
-      const std::uint32_t blob_len = r.u32();
-      if (static_cast<std::size_t>(blob_len) != r.remaining())
-        r.fail("weight blob length " + std::to_string(blob_len) +
-               " does not match payload");
-      std::vector<std::uint8_t> blob(payload.end() - blob_len,
-                                     payload.end());
-      version = shard->client->swap_weights(requested, blob);
+      version = client_for(*shard).swap_weights(swap.version, swap.cnn,
+                                                swap.warm);
       ++reached;
     } catch (const FlowException& e) {
-      if (e.stage() != FlowStage::kNet) throw;
+      if (e.stage() != FlowStage::kNet) {
+        if (!refused_stage) refused_stage = e.stage();
+        refusals += (refusals.empty() ? "" : "; ") +
+                    endpoint_name(shard->port) + ": " + e.what();
+        log_warn("router: shard ", endpoint_name(shard->port),
+                 " refused the weight swap: ", e.what());
+        continue;
+      }
       shard->errors->inc();
       shard->client.reset();
       log_warn("router: shard ", endpoint_name(shard->port),
@@ -347,6 +341,11 @@ void Router::handle_swap(int fd, const std::string& peer,
     }
   }
   obs::counter("net.router.swap_broadcasts").inc();
+  if (refused_stage) {
+    send_error_frame(fd, peer, static_cast<int>(*refused_stage),
+                     "router: weight swap refused by " + refusals);
+    return;
+  }
   if (reached == 0) {
     send_error_frame(fd, peer, static_cast<int>(FlowStage::kNet),
                      "router: no worker reachable for weight swap");

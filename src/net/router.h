@@ -111,6 +111,8 @@ class Router {
   void handle_swap(int fd, const std::string& peer,
                    const std::vector<std::uint8_t>& payload);
   Shard& shard_for_port(int port);
+  /// The shard's connection, created on first use; caller holds shard.mu.
+  Client& client_for(Shard& shard);
 
   /// Cluster config fingerprint, fetched lazily from any worker's stats
   /// (the router carries no flow configuration of its own); 0 until known.

@@ -1,6 +1,6 @@
 // Result-cache snapshot file: persists a worker's warm cache across a
-// process restart, so a rolling restart (or a kSwapWeights with an empty
-// blob) does not cost the cluster its hit rate.
+// process restart, so a rolling restart does not cost the cluster its hit
+// rate.
 //
 // File layout (all wire.h little-endian encoding):
 //

@@ -503,4 +503,19 @@ WorkerStats read_stats(WireReader& r) {
   return stats;
 }
 
+// --- weight swap ---
+
+void write_weight_swap(WireWriter& w, const WeightSwap& swap) {
+  w.u64(swap.version).blob(swap.cnn);
+  if (!swap.warm.empty()) w.blob(swap.warm);
+}
+
+WeightSwap read_weight_swap(WireReader& r) {
+  WeightSwap swap;
+  swap.version = r.u64();
+  swap.cnn = r.blob();
+  if (r.remaining() > 0) swap.warm = r.blob();
+  return swap;
+}
+
 }  // namespace ldmo::net

@@ -154,4 +154,16 @@ struct WorkerStats {
 void write_stats(WireWriter& w, const WorkerStats& stats);
 WorkerStats read_stats(WireReader& r);
 
+/// Weight-swap payload: u64 requested version, the CNN weight blob (empty
+/// = keep the current weights), then the warm-start MaskNet blob only
+/// when it is non-empty — so a CNN-only payload keeps its original bytes.
+struct WeightSwap {
+  std::uint64_t version = 0;
+  std::vector<std::uint8_t> cnn;
+  std::vector<std::uint8_t> warm;
+};
+
+void write_weight_swap(WireWriter& w, const WeightSwap& swap);
+WeightSwap read_weight_swap(WireReader& r);
+
 }  // namespace ldmo::net

@@ -1,16 +1,11 @@
 #include "serve/batcher.h"
 
-#include <chrono>
 #include <utility>
 
 #include "common/error.h"
 #include "layout/fingerprint.h"
 
 namespace ldmo::serve {
-
-namespace {
-using Clock = std::chrono::steady_clock;
-}  // namespace
 
 InferenceBatcher::InferenceBatcher(core::PrintabilityPredictor& backend,
                                    BatcherConfig config)
@@ -20,12 +15,7 @@ InferenceBatcher::InferenceBatcher(core::PrintabilityPredictor& backend,
       job_counter_(obs::counter("serve.batch.jobs")),
       candidate_counter_(obs::counter("serve.batch.candidates")),
       coalesced_flush_counter_(
-          obs::counter("serve.batch.coalesced_flushes")) {
-  require(config_.flush_candidates >= 1,
-          "InferenceBatcher: flush_candidates must be >= 1");
-  require(config_.flush_timeout_ms >= 0.0,
-          "InferenceBatcher: negative flush timeout");
-}
+          obs::counter("serve.batch.coalesced_flushes")) {}
 
 void InferenceBatcher::set_backend(core::PrintabilityPredictor& backend) {
   std::unique_lock<std::mutex> lock(mu_);
@@ -67,28 +57,11 @@ std::vector<double> InferenceBatcher::score(
   const std::size_t my_index = batch->jobs.size();
   batch->jobs.push_back({&layout, &candidates});
   batch->candidates += candidates.size();
-  const bool leader = my_index == 0;
-  if (batch->candidates >=
-      static_cast<std::size_t>(config_.flush_candidates))
-    cv_.notify_all();  // wake the leader: batch is full
 
-  if (leader) {
-    // The leader parks until the batch is full or its timeout lapses, then
-    // flushes — but never while another flush holds the backend.
-    const Clock::time_point deadline =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(
-                               config_.flush_timeout_ms / 1000.0));
-    for (;;) {
-      const bool full =
-          batch->candidates >=
-          static_cast<std::size_t>(config_.flush_candidates);
-      if (!flush_in_progress_ && (full || Clock::now() >= deadline)) break;
-      if (flush_in_progress_)
-        cv_.wait(lock);
-      else
-        cv_.wait_until(lock, deadline);
-    }
+  if (my_index == 0) {
+    // The leader flushes as soon as no other flush holds the backend;
+    // callers arriving meanwhile join its batch.
+    cv_.wait(lock, [&] { return !flush_in_progress_; });
     flush(batch, lock);
   } else {
     cv_.wait(lock, [&] { return batch->flushed; });

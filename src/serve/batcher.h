@@ -10,11 +10,9 @@
 //
 // When to flush: the CNN runs one task per candidate, so a flush needs
 // no minimum size to use the thread pool, and waiting only adds latency.
-// By default (flush_candidates = 1) the leader flushes as soon as the
-// backend is free; requests that arrive while a flush holds the backend
-// join the next batch, so coalescing still happens under load. A larger
-// flush_candidates makes the leader wait up to flush_timeout_ms for that
-// many candidates.
+// The leader flushes as soon as the backend is free; requests that arrive
+// while a flush holds the backend join the next batch, so coalescing
+// still happens under load.
 //
 // Determinism: score_batch_multi is REQUIRED (predictor.h) to return
 // bit-identical scores to a solo score_batch per job, so coalescing never
@@ -42,11 +40,6 @@ struct BatcherConfig {
   /// Disabled = every score() goes straight to the backend (still
   /// serialized); the serve-bench --no-batch baseline.
   bool enabled = true;
-  /// Flush as soon as the open batch holds this many candidates (and the
-  /// backend is free). 1: never wait for joiners.
-  int flush_candidates = 1;
-  /// Flush a non-full batch this long after its first joiner arrived.
-  double flush_timeout_ms = 2.0;
 };
 
 class InferenceBatcher {
@@ -63,11 +56,10 @@ class InferenceBatcher {
   std::vector<double> score(const layout::Layout& layout,
                             const std::vector<layout::Assignment>& candidates);
 
-  /// Repoints the batcher at a new backend (the server's in-process
-  /// blue/green swap). Waits out any in-flight flush under the batcher
-  /// lock; the caller (Server::swap_backend) additionally quiesces the
-  /// dispatchers, so no score() can be mid-join. The new backend must
-  /// outlive the batcher or the next set_backend.
+  /// Repoints the batcher at a new backend (Server::swap_backend). Waits
+  /// out any in-flight flush under the batcher lock; the caller
+  /// additionally quiesces the dispatchers, so no score() can be mid-join.
+  /// The new backend must outlive the batcher or the next set_backend.
   void set_backend(core::PrintabilityPredictor& backend);
 
   const BatcherConfig& config() const { return config_; }

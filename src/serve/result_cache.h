@@ -133,6 +133,19 @@ class ShardedLruCache {
     return out;
   }
 
+  /// Drops every entry (a model swap retired them all). Shards are locked
+  /// one at a time, like export_entries.
+  void clear() {
+    for (Shard& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      adjust_totals(-static_cast<long long>(shard.bytes),
+                    -static_cast<long long>(shard.lru.size()));
+      shard.index.clear();
+      shard.lru.clear();
+      shard.bytes = 0;
+    }
+  }
+
   bool enabled() const { return config_.enabled; }
   const CacheConfig& config() const { return config_; }
 

@@ -70,7 +70,8 @@ Server::Server(ServeConfig config,
     batch_predictors_.push_back(predictor.get());
     engines_.push_back(std::make_unique<core::FlowEngine>(
         config_.engine, std::move(predictor)));
-    if (config_.warm_start) engines_.back()->set_warm_start(config_.warm_start);
+    if (config_.warm_start && config_.engine.flow.warm_start.enabled)
+      engines_.back()->set_warm_start(config_.warm_start);
   }
   dispatchers_.reserve(engines_.size());
   for (int i = 0; i < config_.dispatchers; ++i)
@@ -196,26 +197,56 @@ void Server::shutdown(bool drain) {
 }
 
 void Server::swap_backend(
-    std::unique_ptr<core::PrintabilityPredictor> fresh) {
-  require(fresh != nullptr, "swap_backend: null predictor");
-  // Exclusive acquisition = every in-flight process() has finished and new
-  // ones queue behind us. The batcher cannot be mid-flush either, but
-  // set_backend still waits that condition out for belt and braces.
-  std::unique_lock<std::shared_mutex> lock(backend_mu_);
-  std::unique_ptr<core::PrintabilityPredictor> old = std::move(backend_);
-  backend_ = std::move(fresh);
-  batcher_.set_backend(*backend_);
-  const std::uint64_t fp = serve::config_fingerprint(
-      config_.engine, backend_->name(),
-      config_.warm_start ? config_.warm_start->version() : 0);
-  config_fp_.store(fp);
-  for (BatchingPredictor* predictor : batch_predictors_)
-    predictor->set_config_fp(fp);
-  backend_swaps_.fetch_add(1);
-  obs::counter("serve.backend_swaps").inc();
-  log_info("serve: backend swapped to ", backend_->name(),
-           " (config fingerprint ", fp, ")");
-  // `old` destructs here, after the batcher stopped referencing it.
+    std::unique_ptr<core::PrintabilityPredictor> predictor,
+    std::shared_ptr<const core::MaskInitializer> warm_start) {
+  if (!predictor && !warm_start) return;
+  if (warm_start)
+    require(warm_start->grid_size() == config_.engine.litho.grid_size,
+            "swap_backend: warm-start grid " +
+                std::to_string(warm_start->grid_size()) +
+                " does not match the simulator grid " +
+                std::to_string(config_.engine.litho.grid_size));
+  {
+    std::lock_guard<std::mutex> gate(pause_mu_);
+    ++swaps_pending_;
+  }
+  {
+    // Exclusive acquisition = every in-flight process() has finished and
+    // new ones wait behind us. The batcher cannot be mid-flush either, but
+    // set_backend still waits that condition out for belt and braces.
+    std::unique_lock<std::shared_mutex> lock(backend_mu_);
+    if (predictor) {
+      backend_.swap(predictor);
+      batcher_.set_backend(*backend_);
+    }
+    if (warm_start) {
+      for (const std::unique_ptr<core::FlowEngine>& engine : engines_)
+        engine->set_warm_start(warm_start);
+      config_.warm_start = std::move(warm_start);
+      config_.engine.flow.warm_start.enabled = true;
+    }
+    const std::uint64_t fp = serve::config_fingerprint(
+        config_.engine, backend_->name(),
+        config_.warm_start ? config_.warm_start->version() : 0);
+    if (fp != config_fp_.load()) {
+      config_fp_.store(fp);
+      for (BatchingPredictor* batching : batch_predictors_)
+        batching->set_config_fp(fp);
+      result_cache_.clear();
+      score_cache_.clear();
+    }
+    backend_swaps_.fetch_add(1);
+    obs::counter("serve.backend_swaps").inc();
+    log_info("serve: models swapped, predictor ", backend_->name(),
+             " (config fingerprint ", fp, ")");
+  }
+  {
+    std::lock_guard<std::mutex> gate(pause_mu_);
+    --swaps_pending_;
+  }
+  pause_cv_.notify_all();
+  // The replaced predictor destructs here, after the batcher stopped
+  // referencing it.
 }
 
 std::string Server::predictor_name() const {
@@ -228,7 +259,7 @@ void Server::dispatcher_loop(int index) {
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(pause_mu_);
-      pause_cv_.wait(lock, [&] { return !paused_; });
+      pause_cv_.wait(lock, [&] { return !paused_ && swaps_pending_ == 0; });
     }
     std::optional<Pending> item = queue_.pop();
     if (!item) return;  // closed and drained

@@ -67,12 +67,11 @@ struct ServeConfig {
   /// implementation serializes concurrent predictions internally). Only
   /// consulted when engine.flow.warm_start.enabled; its weight version is
   /// folded into the config fingerprint so cached results retire on model
-  /// swap.
+  /// swap. Server::swap_backend replaces it.
   std::shared_ptr<const core::MaskInitializer> warm_start;
   /// Training-data capture hook (serve/capture.h): invoked on the
   /// dispatcher thread for every completed kOk non-degraded run. Null
-  /// disables capture. Shared so a daemon blue/green swap carries the same
-  /// sink into the replacement server.
+  /// disables capture.
   std::shared_ptr<CaptureHook> capture;
   int dispatchers = 2;
   std::size_t queue_capacity = 64;
@@ -157,19 +156,30 @@ class Server {
   /// with kCancelled. Idempotent; the destructor calls shutdown(true).
   void shutdown(bool drain = true);
 
-  /// In-process blue/green weight promotion (the flywheel's local path).
-  /// Quiesces the dispatchers (blocks until in-flight requests finish and
-  /// new ones wait), replaces the scoring backend, recomputes the config
-  /// fingerprint from the new predictor's name — retiring every cached
-  /// result and score key, exactly like the daemon's wire swap — and
-  /// resumes. Queued requests are NOT lost; they proceed on the new model.
-  /// Wrap the backend in core::VersionedPredictor so the name (and with it
-  /// the fingerprint) actually changes.
-  void swap_backend(std::unique_ptr<core::PrintabilityPredictor> fresh);
+  /// The one way a model changes while serving (the daemon's wire swap
+  /// and the flywheel's promotion both land here). `predictor` replaces
+  /// the scoring backend; `warm_start` replaces the warm-start initializer
+  /// on every dispatcher engine and turns warm start on. A null argument
+  /// keeps the current model; with both null nothing happens. Everything
+  /// is checked before anything changes (the initializer's grid must match
+  /// the simulator's), so a refused swap throws and leaves the server as it
+  /// was. Then, under the exclusive lock — in-flight requests finish
+  /// first, and the dispatchers take no new request until the swap is in —
+  /// the models go in and the config fingerprint is recomputed once. When
+  /// it changed, both cache tiers are emptied: their keys embed the old
+  /// fingerprint and could never hit again. Queued requests are NOT lost;
+  /// they proceed on the new models. Wrap a new predictor in
+  /// core::VersionedPredictor so its name (and with it the fingerprint)
+  /// actually changes.
+  void swap_backend(
+      std::unique_ptr<core::PrintabilityPredictor> predictor,
+      std::shared_ptr<const core::MaskInitializer> warm_start = nullptr);
 
   /// Number of completed swap_backend calls.
   long long backend_swaps() const { return backend_swaps_.load(); }
 
+  /// swap_backend rewrites warm_start and engine.flow.warm_start.enabled;
+  /// read those two fields only when no swap can run concurrently.
   const ServeConfig& config() const { return config_; }
   std::uint64_t config_fingerprint() const { return config_fp_.load(); }
   std::size_t queue_depth() const { return queue_.depth(); }
@@ -210,9 +220,8 @@ class Server {
   obs::RunReport report() const;
 
   /// Copies the result-cache contents out, least-recently-used first (the
-  /// snapshot/restore and hot-swap handoff hook — net/snapshot.h writes
-  /// these to disk, ServeDaemon carries them across a blue/green server
-  /// swap). Safe during traffic; see ShardedLruCache::export_entries.
+  /// snapshot hook — net/snapshot.h writes these to disk). Safe during
+  /// traffic; see ShardedLruCache::export_entries.
   std::vector<std::pair<std::uint64_t, core::LdmoResult>>
   export_result_cache() {
     return result_cache_.export_entries();
@@ -220,8 +229,8 @@ class Server {
 
   /// Result-cache observability for the wire protocol's stats message.
   /// Entries are per-instance; hits/misses read the process-global
-  /// "serve.cache.*" counters (cumulative across blue/green server
-  /// generations, which is what a scraper wants).
+  /// "serve.cache.*" counters (cumulative across every server in the
+  /// process, which is what a scraper wants).
   std::size_t result_cache_entries() const { return result_cache_.entries(); }
   long long result_cache_hits() const { return result_cache_.hits(); }
   long long result_cache_misses() const { return result_cache_.misses(); }
@@ -278,10 +287,11 @@ class Server {
 
   ServeConfig config_;
   std::unique_ptr<litho::LithoSimulator> backend_simulator_;  ///< default only
-  /// Guards backend_ replacement against in-flight request processing:
-  /// process() holds it shared for the life of a request, swap_backend
-  /// holds it exclusive. Requests are seconds and swaps are rare, so the
-  /// rwlock costs one uncontended shared acquisition per request.
+  /// Guards the models (backend_, config_.warm_start and the engines'
+  /// initializers) against in-flight request processing: process() holds
+  /// it shared for the life of a request, swap_backend holds it exclusive.
+  /// Requests are seconds and swaps are rare, so the rwlock costs one
+  /// uncontended shared acquisition per request.
   mutable std::shared_mutex backend_mu_;
   std::unique_ptr<core::PrintabilityPredictor> backend_;
   std::atomic<std::uint64_t> config_fp_{0};
@@ -302,6 +312,10 @@ class Server {
   mutable std::mutex pause_mu_;
   std::condition_variable pause_cv_;
   bool paused_ = false;
+  /// swap_backend calls waiting for or holding backend_mu_. Dispatchers
+  /// take no new request while it is nonzero: the rwlock prefers readers,
+  /// and dispatchers that kept re-taking it shared could starve a swap.
+  int swaps_pending_ = 0;
 
   std::atomic<std::uint64_t> next_id_{0};
   std::atomic<std::uint64_t> completion_seq_{0};

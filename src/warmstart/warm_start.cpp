@@ -29,6 +29,12 @@ void MaskWarmStart::load(const std::string& path) {
   version_ = compute_version();  // version_ must always describe net_
 }
 
+void MaskWarmStart::decode(const std::vector<std::uint8_t>& blob) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  nn::decode_parameters(net_.parameters(), blob);
+  version_ = compute_version();
+}
+
 void MaskWarmStart::save(const std::string& path) const {
   std::lock_guard<std::mutex> lock(mutex_);
   nn::save_parameters(net_.parameters(), path);

@@ -5,8 +5,10 @@
 // retires when the model is retrained or hot-swapped.
 #pragma once
 
+#include <cstdint>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "core/mask_init.h"
 #include "warmstart/masknet.h"
@@ -18,8 +20,11 @@ class MaskWarmStart : public core::MaskInitializer {
   explicit MaskWarmStart(MaskNetConfig config = {});
 
   /// Loads weights via nn::load_parameters (strict layout validation) and
-  /// refreshes the version fingerprint.
+  /// refreshes the version fingerprint. A rejected file changes nothing.
   void load(const std::string& path);
+
+  /// load() from an in-memory blob (nn::encode_parameters format).
+  void decode(const std::vector<std::uint8_t>& blob);
 
   /// Saves weights via nn::save_parameters (tmp-then-rename).
   void save(const std::string& path) const;

@@ -1,13 +1,14 @@
 // Online-learning flywheel tests (DESIGN.md §16):
 //
 //   - training-log framing: round trip, resumed appends, torn-tail
-//     tolerance (dropped + flagged + healed by the next writer) vs
-//     mid-file corruption (throws — bit rot must not train a model),
+//     tolerance (a partial or checksum-failed final record is dropped,
+//     flagged and healed by the next writer) vs mid-file corruption
+//     (throws — bit rot must not train a model),
 //   - the serve-time capture sink: sampling, the max_records cap
 //     (counting records that predate this process), drop-not-block
 //     accounting, and the server integration — kOk fresh runs are
 //     captured, cached and degraded responses never are,
-//   - Server::swap_backend: the in-process blue/green path retires every
+//   - Server::swap_backend: the one model-swap path retires every
 //     cached result via the config-fingerprint change while queued and
 //     future requests keep succeeding,
 //   - FineTuner: no-op without data, the min_new_records gate, bootstrap
@@ -233,6 +234,29 @@ TEST_F(FlywheelTest, CorruptFinalChecksumIsATornTailNotAnError) {
   const TrainingLog log = read_training_log(path);
   EXPECT_TRUE(log.torn_tail);
   ASSERT_EQ(log.pairs.size(), 1u);
+}
+
+TEST_F(FlywheelTest, ChecksumTornTailIsHealedByTheNextWriter) {
+  const std::string path = scratch("test_flywheel_tailsum_heal.bin");
+  write_flat_log(path, 8, 2);
+  {
+    // A torn append that happened to end on a record boundary: the LAST
+    // record is whole but fails its checksum.
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(12 + static_cast<std::streamoff>(
+                        training_log_record_bytes(8)) + 4);
+    file.put(static_cast<char>(0xFF));
+  }
+  ASSERT_TRUE(read_training_log(path).torn_tail);
+
+  // The next writer drops exactly what the reader drops, so its append
+  // cannot strand the bad record mid-file as "bit rot".
+  TrainingLogWriter(path, 8).append(flat_pair(8, 0.9));
+  const TrainingLog healed = read_training_log(path);
+  EXPECT_FALSE(healed.torn_tail);
+  ASSERT_EQ(healed.pairs.size(), 2u);
+  EXPECT_DOUBLE_EQ(healed.pairs[0].score, 0.5);
+  EXPECT_DOUBLE_EQ(healed.pairs[1].score, 0.9);
 }
 
 TEST_F(FlywheelTest, CorruptionBeforeTheTailThrows) {
@@ -507,7 +531,6 @@ TEST_F(FlywheelTest, MistrainedIncumbentRecoversViaGatedPromotion) {
 
 TEST_F(FlywheelTest, ServeCaptureTuneSwapLoopEndToEnd) {
   const std::string path = scratch("test_flywheel_loop.bin");
-  const std::string weights = scratch("test_flywheel_loop_weights.bin");
   scratch(path + ".candidate.bin");
 
   auto sink = std::make_shared<TrainingLogSink>(SinkConfig{
@@ -537,7 +560,7 @@ TEST_F(FlywheelTest, ServeCaptureTuneSwapLoopEndToEnd) {
   tcfg.trainer.batch_size = 6;
   tcfg.min_new_records = 8;
   tcfg.holdout_every = 3;
-  FineTuner tuner(tcfg, local_promoter(server, tcfg.network, weights));
+  FineTuner tuner(tcfg, local_promoter(server, tcfg.network));
   const TuneRound round = tuner.run_once();
   EXPECT_TRUE(round.attempted);
   ASSERT_TRUE(round.promoted);

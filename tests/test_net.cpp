@@ -13,9 +13,10 @@
 //     order, minimal disruption on membership change),
 //   - cache snapshot save/load/corruption and restart warm-start,
 //   - ServeDaemon + Client loopback bit-identity against a direct
-//     serve::Server, weight hot-swap, transport retries, AsyncClient,
-//   - Router forwarding, failover to the surviving shard, swap broadcast,
-//     and the server-less admin endpoint.
+//     serve::Server, weight hot-swap (refused swaps change nothing; swaps
+//     under load lose no request), transport retries,
+//   - Router forwarding, failover to the surviving shard, swap broadcast
+//     (warm-start section included), and the server-less admin endpoint.
 //
 // Flow-running tests use the 32-pixel serving-tier lithography model, so a
 // full run is tens of milliseconds (same budget as test_serve.cpp).
@@ -25,13 +26,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -361,6 +364,32 @@ TEST(WireGolden, StatsMessageBytesAreStable) {
   write_stats(w, golden_stats());
   EXPECT_EQ(digest_of(w), 0x160d0ac1b79ca440ull)
       << "encoded stats bytes changed — wire format break";
+}
+
+TEST(WireGolden, WeightSwapPayloadLayoutIsPinned) {
+  // Without a warm section the payload is the original u64 + blob layout.
+  WireWriter cnn_only;
+  write_weight_swap(cnn_only, WeightSwap{5, {0xAA, 0xBB}, {}});
+  const std::vector<std::uint8_t> expected = {
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // version
+      0x02, 0x00, 0x00, 0x00, 0xAA, 0xBB,              // CNN blob
+  };
+  EXPECT_EQ(cnn_only.bytes(), expected);
+
+  WireWriter both;
+  write_weight_swap(both, WeightSwap{5, {}, {0xCC}});
+  WireReader r(both.bytes(), "test");
+  const WeightSwap decoded = read_weight_swap(r);
+  r.expect_end();
+  EXPECT_EQ(decoded.version, 5u);
+  EXPECT_TRUE(decoded.cnn.empty());
+  EXPECT_EQ(decoded.warm, std::vector<std::uint8_t>{0xCC});
+
+  // A section longer than the payload is a decode error.
+  std::vector<std::uint8_t> overrun = expected;
+  overrun[8] = 0x09;
+  WireReader bad(overrun, "overrun");
+  EXPECT_THROW((void)read_weight_swap(bad), FlowException);
 }
 
 // --- round trips and the corrupt/truncated corpus --------------------------
@@ -908,7 +937,7 @@ TEST_F(NetTest, EmptyBlobSwapKeepsTheWarmCache) {
   EXPECT_EQ(daemon.weights_version(), 0u);
   EXPECT_EQ(obs::counter("net.daemon.swaps").value(), swaps_before + 1);
 
-  // Identity unchanged -> cache was handed across the blue/green swap.
+  // Identity unchanged -> the swap left the cache alone.
   EXPECT_EQ(client.stats().config_fingerprint, fp_before);
   EXPECT_EQ(client.submit(request).status, serve::ServeStatus::kCached);
 }
@@ -935,14 +964,15 @@ TEST_F(NetTest, RealWeightSwapChangesIdentityAndRetiresTheCache) {
   // it every cache key — changed: stale results are unreachable, not wrong.
   EXPECT_EQ(stats.predictor, "cnn@v5");
   EXPECT_NE(stats.config_fingerprint, fp_before);
-  EXPECT_EQ(stats.cache_entries, 0u);  // no handoff across an identity change
+  EXPECT_EQ(stats.cache_entries, 0u);  // an identity change empties it
 }
 
-/// Serialized MaskNet weights at the serving-tier 32px grid — a valid
+/// Serialized MaskNet weights (the serving-tier 32px grid by default) — a
 /// warm-start blob for the swap verb's optional warm section.
-std::vector<std::uint8_t> fresh_warm_blob(const std::string& path) {
+std::vector<std::uint8_t> fresh_warm_blob(const std::string& path,
+                                          int grid_size = 32) {
   warmstart::MaskNetConfig cfg;
-  cfg.grid_size = 32;
+  cfg.grid_size = grid_size;
   warmstart::MaskWarmStart warm(cfg);
   warm.save(path);
   std::ifstream in(path, std::ios::binary);
@@ -1017,6 +1047,128 @@ TEST_F(NetTest, CombinedCnnAndWarmSwapCarriesBothModels) {
   EXPECT_EQ(client.submit(request).status, serve::ServeStatus::kOk);
 }
 
+TEST_F(NetTest, RefusedSwapLeavesTheDaemonUnchanged) {
+  const std::string cnn_staging = "test_net_refused_cnn.bin";
+  const std::string warm_staging = "test_net_refused_warm.bin";
+  cleanup_.push_back(cnn_staging);
+  cleanup_.push_back(warm_staging);
+  const std::vector<std::uint8_t> cnn_blob = fresh_weights_blob(cnn_staging);
+  // A 16px MaskNet: its weights decode, but the 32px server refuses them.
+  const std::vector<std::uint8_t> warm_blob =
+      fresh_warm_blob(warm_staging, 16);
+
+  DaemonConfig dcfg;
+  dcfg.serve = fast_serve_config();
+  dcfg.warm_net.grid_size = 16;
+  ServeDaemon daemon(dcfg);
+  Client client(ClientConfig{.port = daemon.port()});
+  serve::ServeRequest request;
+  request.layout = generated_layout(309);
+  ASSERT_EQ(client.submit(request).status, serve::ServeStatus::kOk);
+  const WorkerStats before = client.stats();
+
+  // A truncated CNN blob fails to decode.
+  const std::vector<std::uint8_t> truncated(cnn_blob.begin(),
+                                            cnn_blob.end() - 9);
+  EXPECT_THROW((void)client.swap_weights(4, truncated), FlowException);
+  // A valid CNN blob travelling with a refused warm blob installs neither.
+  EXPECT_THROW((void)client.swap_weights(4, cnn_blob, warm_blob),
+               FlowException);
+
+  const WorkerStats after = client.stats();
+  EXPECT_EQ(after.predictor, before.predictor);
+  EXPECT_EQ(after.config_fingerprint, before.config_fingerprint);
+  EXPECT_EQ(daemon.weights_version(), 0u);
+  EXPECT_EQ(daemon.server()->config().warm_start, nullptr);
+  EXPECT_EQ(client.submit(request).status, serve::ServeStatus::kCached);
+  EXPECT_EQ(client.swap_weights(0, {}), 0u);
+}
+
+TEST_F(NetTest, SwapsUnderLoadLoseNothing) {
+  const std::string cnn_staging = "test_net_load_cnn.bin";
+  const std::string warm_staging = "test_net_load_warm.bin";
+  cleanup_.push_back(cnn_staging);
+  cleanup_.push_back(warm_staging);
+  const std::vector<std::uint8_t> cnn_blob = fresh_weights_blob(cnn_staging);
+  const std::vector<std::uint8_t> warm_blob = fresh_warm_blob(warm_staging);
+
+  DaemonConfig dcfg;
+  dcfg.serve = fast_serve_config();
+  dcfg.warm_net.grid_size = 32;
+  ServeDaemon daemon(dcfg);
+  const std::shared_ptr<serve::Server> server = daemon.server();
+  constexpr std::uint64_t kCachedSeeds = 4;
+  {
+    Client client(ClientConfig{.port = daemon.port()});
+    for (std::uint64_t seed = 500; seed < 500 + kCachedSeeds; ++seed) {
+      serve::ServeRequest request;
+      request.layout = generated_layout(seed);
+      ASSERT_EQ(client.submit(request).status, serve::ServeStatus::kOk);
+    }
+  }
+
+  // Clients alternate cached and new layouts without pause while the
+  // swaps run; the dispatchers are never idle.
+  constexpr int kClients = 3;
+  std::atomic<bool> stop{false};
+  std::atomic<int> served{0};
+  std::atomic<int> lost{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c)
+    clients.emplace_back([&, c] {
+      Client client(ClientConfig{.port = daemon.port()});
+      for (std::uint64_t i = 0; !stop.load(); ++i) {
+        serve::ServeRequest request;
+        request.layout = generated_layout(
+            i % 2 == 0 ? 500 + (i / 2) % kCachedSeeds
+                       : 600 + 1000 * static_cast<std::uint64_t>(c) + i);
+        try {
+          const serve::ServeStatus status = client.submit(request).status;
+          if (status == serve::ServeStatus::kOk ||
+              status == serve::ServeStatus::kCached)
+            served.fetch_add(1);
+          else
+            lost.fetch_add(1);
+        } catch (const FlowException&) {
+          lost.fetch_add(1);
+        }
+      }
+    });
+  const auto wait_for_traffic = [&] {
+    const int target = served.load() + kClients;
+    while (served.load() < target && lost.load() == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  };
+
+  Client admin(ClientConfig{.port = daemon.port()});
+  const auto timed_swap = [&](std::uint64_t version,
+                              const std::vector<std::uint8_t>& cnn,
+                              const std::vector<std::uint8_t>& warm) {
+    wait_for_traffic();
+    const auto start = std::chrono::steady_clock::now();
+    const std::uint64_t active = admin.swap_weights(version, cnn, warm);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_LT(seconds, 10.0) << "swap starved under load";
+    EXPECT_EQ(daemon.server(), server);
+    return active;
+  };
+  EXPECT_EQ(timed_swap(8, cnn_blob, {}), 8u);        // CNN
+  EXPECT_EQ(timed_swap(0, {}, warm_blob), 8u);       // warm-only
+  EXPECT_EQ(timed_swap(0, {}, {}), 8u);              // empty
+  wait_for_traffic();
+  stop.store(true);
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_EQ(lost.load(), 0);
+  EXPECT_GT(served.load(), 0);
+  EXPECT_EQ(server->status_count(serve::ServeStatus::kRejected), 0);
+  EXPECT_EQ(server->status_count(serve::ServeStatus::kFailed), 0);
+  EXPECT_EQ(server->predictor_name(), "cnn@v8");
+  EXPECT_TRUE(server->config().engine.flow.warm_start.enabled);
+}
+
 TEST_F(NetTest, DaemonRestartRestoresCacheFromSnapshot) {
   const std::string path = "test_net_daemon_snapshot.bin";
   cleanup_.push_back(path);
@@ -1088,22 +1240,6 @@ TEST_F(NetTest, ExhaustedRetriesSurfaceTheTransportFault) {
                   .find("127.0.0.1:" + std::to_string(dead_port)),
               std::string::npos);
   }
-}
-
-TEST_F(NetTest, AsyncClientPumpsConcurrentSubmits) {
-  DaemonConfig dcfg;
-  dcfg.serve = fast_serve_config();
-  ServeDaemon daemon(dcfg);
-  AsyncClient client(ClientConfig{.port = daemon.port()}, 3);
-  std::vector<std::future<serve::ServeResponse>> futures;
-  for (int i = 0; i < 6; ++i) {
-    serve::ServeRequest request;
-    request.layout = generated_layout(310 + static_cast<std::uint64_t>(i % 2));
-    futures.push_back(client.submit(std::move(request)));
-  }
-  int ok = 0;
-  for (auto& f : futures) ok += f.get().ok() ? 1 : 0;
-  EXPECT_EQ(ok, 6);
 }
 
 TEST_F(NetTest, UnexpectedFrameTypeGetsAnErrorAnswer) {
@@ -1215,6 +1351,64 @@ TEST_F(NetTest, RouterBroadcastsWeightSwaps) {
   EXPECT_EQ(client.swap_weights(9, blob), 9u);
   EXPECT_EQ(worker_a.weights_version(), 9u);
   EXPECT_EQ(worker_b.weights_version(), 9u);
+}
+
+TEST_F(NetTest, RouterBroadcastsWarmStartSwaps) {
+  const std::string cnn_staging = "test_net_router_warm_cnn.bin";
+  const std::string warm_staging = "test_net_router_warm.bin";
+  cleanup_.push_back(cnn_staging);
+  cleanup_.push_back(warm_staging);
+  const std::vector<std::uint8_t> cnn_blob = fresh_weights_blob(cnn_staging);
+  const std::vector<std::uint8_t> warm_blob = fresh_warm_blob(warm_staging);
+
+  DaemonConfig dcfg;
+  dcfg.serve = fast_serve_config();
+  dcfg.warm_net.grid_size = 32;
+  DaemonConfig refusing_cfg = dcfg;
+  refusing_cfg.warm_net.grid_size = 16;  // cannot take a 32px MaskNet
+  ServeDaemon refusing(refusing_cfg), worker_a(dcfg), worker_b(dcfg);
+  RouterConfig rcfg;
+  // The refusing shard comes first: it must not stop the broadcast.
+  rcfg.worker_ports = {refusing.port(), worker_a.port(), worker_b.port()};
+  Router router(rcfg);
+  const auto shard_errors = [](int port) {
+    return obs::counter("net.router.shard." + std::to_string(port) +
+                        ".errors")
+        .value();
+  };
+
+  // A malformed payload is a decode error at the router; no shard sees it.
+  const long long errors_before = shard_errors(worker_a.port());
+  {
+    WireWriter w;
+    w.u64(3).u32(1000);  // CNN section announces 1000 absent bytes
+    Socket sock = connect_loopback(router.port(), 10.0, 20);
+    write_frame(sock.fd(), MessageType::kSwapWeights, w.bytes(), "test");
+    EXPECT_FALSE(read_frame(sock.fd(), "test").has_value());
+  }
+  EXPECT_EQ(shard_errors(worker_a.port()), errors_before);
+  EXPECT_EQ(worker_a.weights_version(), 0u);
+
+  Client client(ClientConfig{.port = router.port()});
+  try {
+    (void)client.swap_weights(7, cnn_blob, warm_blob);
+    FAIL() << "a refusing shard must fail the broadcast's reply";
+  } catch (const FlowException& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find(endpoint_name(refusing.port())),
+              std::string::npos);
+    EXPECT_EQ(message.find(endpoint_name(worker_a.port())),
+              std::string::npos);
+  }
+  EXPECT_EQ(refusing.weights_version(), 0u);
+  EXPECT_EQ(refusing.server()->config().warm_start, nullptr);
+  for (ServeDaemon* worker : {&worker_a, &worker_b}) {
+    EXPECT_EQ(worker->weights_version(), 7u);
+    const std::shared_ptr<serve::Server> server = worker->server();
+    EXPECT_EQ(server->predictor_name(), "cnn@v7");
+    ASSERT_NE(server->config().warm_start, nullptr);
+    EXPECT_TRUE(server->config().engine.flow.warm_start.enabled);
+  }
 }
 
 // --- server-less admin endpoint (the router's scrape target) ----------------

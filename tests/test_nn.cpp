@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -757,6 +758,50 @@ TEST(Serialize, CorruptFileCorpusRejected) {
   load_parameters(ok.parameters(), good_path);
   std::remove(good_path.c_str());
   std::remove(bad_path.c_str());
+}
+
+// Every check runs before the first write: a source whose SECOND tensor
+// announces the wrong element count (total size unchanged) must leave
+// parameter 0 exactly as it was, whether it arrives as a blob or a file.
+TEST(Serialize, RejectedBlobLeavesNetworkUntouched) {
+  ResNetRegressor source(tiny_config());
+  for (Parameter* p : source.parameters())
+    for (std::size_t i = 0; i < p->value.size(); ++i) p->value[i] += 0.5f;
+  std::vector<std::uint8_t> blob = encode_parameters(source.parameters());
+  // Magic (4) + count (8), then parameter 0's element count and payload.
+  const std::size_t second_count =
+      12 + 8 + source.parameters()[0]->value.size() * sizeof(float);
+  blob[second_count] ^= 0x01;
+
+  ResNetRegressor victim(tiny_config());
+  const Tensor pristine = victim.parameters()[0]->value;
+  EXPECT_THROW(decode_parameters(victim.parameters(), blob), ldmo::Error);
+  EXPECT_EQ(victim.parameters()[0]->value, pristine);
+
+  const std::string path = "test_nn_rejected.bin";
+  write_file(path, std::vector<char>(blob.begin(), blob.end()));
+  EXPECT_THROW(load_parameters(victim.parameters(), path), ldmo::Error);
+  EXPECT_EQ(victim.parameters()[0]->value, pristine);
+  std::remove(path.c_str());
+}
+
+// The blob path and the file path are one format: encode_parameters
+// yields the bytes save_parameters writes, and each loads the other's.
+TEST(Serialize, BlobAndFileAreTheSameBytes) {
+  const std::string path = "test_nn_blob_file.bin";
+  ResNetRegressor a(tiny_config());
+  for (Parameter* p : a.parameters())
+    for (std::size_t i = 0; i < p->value.size(); i += 2) p->value[i] -= 0.25f;
+  save_parameters(a.parameters(), path);
+  const std::vector<std::uint8_t> blob = encode_parameters(a.parameters());
+  const std::vector<char> file = read_file(path);
+  EXPECT_EQ(std::vector<char>(blob.begin(), blob.end()), file);
+
+  ResNetRegressor b(tiny_config());
+  decode_parameters(b.parameters(), blob);
+  for (std::size_t i = 0; i < a.parameters().size(); ++i)
+    EXPECT_EQ(b.parameters()[i]->value, a.parameters()[i]->value);
+  std::remove(path.c_str());
 }
 
 // Atomic save: a fault mid-write must leave the previously saved weights

@@ -9,7 +9,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -222,14 +224,52 @@ TEST(CacheKey, ScoreKeySeparatesCandidates) {
 
 // --- cross-request batching bit-identity ---
 
+/// Holds its first flush in the backend until release(), so callers that
+/// arrive meanwhile pile up in the next batch.
+class GatedPredictor : public core::PrintabilityPredictor {
+ public:
+  explicit GatedPredictor(core::PrintabilityPredictor& inner)
+      : inner_(inner) {}
+  double score(const layout::Layout& layout,
+               const layout::Assignment& assignment) override {
+    return inner_.score(layout, assignment);
+  }
+  std::vector<std::vector<double>> score_batch_multi(
+      const std::vector<core::ScoringJob>& jobs) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return released_; });
+    }
+    return inner_.score_batch_multi(jobs);
+  }
+  std::string name() const override { return inner_.name(); }
+
+  void wait_entered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  core::PrintabilityPredictor& inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
 TEST(Batcher, ConcurrentScoresMatchSoloExactly) {
   const litho::LithoSimulator simulator(fast_litho());
   core::RawPrintPredictor solo(simulator);
   core::RawPrintPredictor shared(simulator);
-  BatcherConfig cfg;
-  cfg.flush_candidates = 64;   // force cross-request coalescing
-  cfg.flush_timeout_ms = 20.0;
-  InferenceBatcher batcher(shared, cfg);
+  GatedPredictor gated(shared);
+  InferenceBatcher batcher(gated, BatcherConfig{});
 
   constexpr int kJobs = 4;
   std::vector<layout::Layout> layouts;
@@ -242,15 +282,28 @@ TEST(Batcher, ConcurrentScoresMatchSoloExactly) {
     expected.push_back(solo.score_batch(layouts.back(), candidates.back()));
   }
 
+  // Job 0's flush holds the backend; the other jobs join the next batch
+  // while it waits, and flush together once it is released.
+  const long long coalesced_before =
+      obs::counter("serve.batch.coalesced_flushes").value();
   std::vector<std::vector<double>> actual(kJobs);
+  std::atomic<int> started{0};
+  const auto run_job = [&](int j) {
+    started.fetch_add(1);
+    actual[static_cast<std::size_t>(j)] =
+        batcher.score(layouts[static_cast<std::size_t>(j)],
+                      candidates[static_cast<std::size_t>(j)]);
+  };
   std::vector<std::thread> threads;
-  for (int j = 0; j < kJobs; ++j)
-    threads.emplace_back([&, j] {
-      actual[static_cast<std::size_t>(j)] = batcher.score(
-          layouts[static_cast<std::size_t>(j)],
-          candidates[static_cast<std::size_t>(j)]);
-    });
+  threads.emplace_back(run_job, 0);
+  gated.wait_entered();
+  for (int j = 1; j < kJobs; ++j) threads.emplace_back(run_job, j);
+  while (started.load() < kJobs) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  gated.release();
   for (std::thread& t : threads) t.join();
+  EXPECT_GE(obs::counter("serve.batch.coalesced_flushes").value(),
+            coalesced_before + 1);
 
   for (int j = 0; j < kJobs; ++j) {
     ASSERT_EQ(actual[j].size(), expected[j].size());
