@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "common/failpoint.h"
+#include "common/hash.h"
 #include "nn/serialize.h"
 #include "obs/metrics.h"
 #include "runtime/parallel_for.h"
@@ -108,6 +109,18 @@ std::vector<std::vector<double>> CnnPredictor::score_batch_multi(
   for (std::size_t i = 0; i < items.size(); ++i)
     *items[i].slot = static_cast<double>(scores[i]);
   return results;
+}
+
+std::uint64_t CnnPredictor::parameter_digest() const {
+  const nn::ResNetConfig& net = network_->config();
+  common::Fnv1a h;
+  h.str("ldmo.core.cnn.v1");
+  // The input size changes the scores but no parameter shape.
+  h.i64(net.input_size).f64(net.width_multiplier);
+  h.i64(net.blocks_per_stage).i64(net.fc_dim);
+  for (const nn::Parameter* p : network_->parameters())
+    h.bytes(p->value.data(), p->value.size() * sizeof(float));
+  return h.digest();
 }
 
 void CnnPredictor::save(const std::string& path) {

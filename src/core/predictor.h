@@ -53,6 +53,12 @@ class PrintabilityPredictor {
       const std::vector<ScoringJob>& jobs);
 
   virtual std::string name() const = 0;
+
+  /// Digest of the model's parameter bits; 0 for a predictor without
+  /// parameters. serve::config_fingerprint hashes it next to name(), so
+  /// two weight sets under one name key apart. It walks every parameter:
+  /// take it where a fingerprint is computed, not per request.
+  virtual std::uint64_t parameter_digest() const { return 0; }
 };
 
 /// The paper's predictor: the trained ResNet regressor on the grayscale
@@ -79,6 +85,9 @@ class CnnPredictor : public PrintabilityPredictor {
   std::vector<std::vector<double>> score_batch_multi(
       const std::vector<ScoringJob>& jobs) override;
   std::string name() const override { return "cnn"; }
+  /// Fnv1a over the network's architecture and parameter values, the way
+  /// warmstart::MaskWarmStart fingerprints its net.
+  std::uint64_t parameter_digest() const override;
 
   nn::ResNetRegressor& network() { return *network_; }
 
@@ -92,9 +101,10 @@ class CnnPredictor : public PrintabilityPredictor {
 
 /// Decorator that folds a weight version into the predictor identity:
 /// "cnn" becomes "cnn@v3". serve::config_fingerprint hashes the predictor
-/// name, so every weight promotion (serve::Server::swap_backend, reached
-/// from the daemon's wire swap and the flywheel) changes every cache key
-/// and stale results become unreachable rather than wrong.
+/// name and parameter digest, so every weight promotion
+/// (serve::Server::swap_backend, reached from the daemon's wire swap and
+/// the flywheel) changes every cache key and stale results become
+/// unreachable rather than wrong.
 class VersionedPredictor : public PrintabilityPredictor {
  public:
   VersionedPredictor(std::unique_ptr<PrintabilityPredictor> inner,
@@ -117,6 +127,9 @@ class VersionedPredictor : public PrintabilityPredictor {
     return inner_->score_batch_multi(jobs);
   }
   std::string name() const override { return name_; }
+  std::uint64_t parameter_digest() const override {
+    return inner_->parameter_digest();
+  }
   std::uint64_t version() const { return version_; }
 
  private:

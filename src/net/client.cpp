@@ -17,12 +17,10 @@ void Client::ensure_connected() {
                            config_.connect_retry_seconds);
 }
 
-Frame Client::roundtrip(MessageType type,
-                        const std::vector<std::uint8_t>& payload,
-                        MessageType expected) {
+Frame Client::roundtrip(const Frame& request, MessageType expected) {
   try {
     ensure_connected();
-    write_frame(sock_.fd(), type, payload, peer_);
+    write_frame(sock_.fd(), request, peer_);
     std::optional<Frame> reply = read_frame(sock_.fd(), peer_);
     if (!reply)
       throw FlowException(FlowStage::kNet,
@@ -51,19 +49,11 @@ Frame Client::roundtrip(MessageType type,
   }
 }
 
-serve::ServeResponse Client::submit(const serve::ServeRequest& request) {
-  WireWriter w;
-  write_request(w, request);
-  const std::vector<std::uint8_t> payload = w.take();
-
+template <typename Exchange>
+auto Client::with_retries(Exchange exchange) {
   for (int attempt = 0;; ++attempt) {
     try {
-      const Frame reply = roundtrip(MessageType::kSubmitRequest, payload,
-                                    MessageType::kSubmitResponse);
-      WireReader r(reply.payload, peer_);
-      serve::ServeResponse response = read_response(r);
-      r.expect_end();
-      return response;
+      return exchange();
     } catch (const FlowException& e) {
       if (e.error().stage != FlowStage::kNet ||
           attempt >= config_.net_retries)
@@ -73,9 +63,26 @@ serve::ServeResponse Client::submit(const serve::ServeRequest& request) {
   }
 }
 
+serve::ServeResponse Client::submit(const serve::ServeRequest& request) {
+  WireWriter w;
+  write_request(w, request);
+  return submit_frame(make_frame(MessageType::kSubmitRequest, w.take()))
+      .response;
+}
+
+Client::SubmitReply Client::submit_frame(const Frame& request) {
+  return with_retries([&] {
+    SubmitReply reply{roundtrip(request, MessageType::kSubmitResponse), {}};
+    WireReader r(reply.frame.payload, peer_);
+    reply.response = read_response(r);
+    r.expect_end();
+    return reply;
+  });
+}
+
 bool Client::ping() {
   try {
-    roundtrip(MessageType::kPing, {}, MessageType::kPong);
+    roundtrip(make_frame(MessageType::kPing, {}), MessageType::kPong);
     return true;
   } catch (const FlowException&) {
     return false;
@@ -83,21 +90,14 @@ bool Client::ping() {
 }
 
 WorkerStats Client::stats() {
-  for (int attempt = 0;; ++attempt) {
-    try {
-      const Frame reply = roundtrip(MessageType::kStats, {},
-                                    MessageType::kStatsResponse);
-      WireReader r(reply.payload, peer_);
-      WorkerStats stats = read_stats(r);
-      r.expect_end();
-      return stats;
-    } catch (const FlowException& e) {
-      if (e.error().stage != FlowStage::kNet ||
-          attempt >= config_.net_retries)
-        throw;
-      obs::counter("net.client.retries").inc();
-    }
-  }
+  const Frame request = make_frame(MessageType::kStats, {});
+  return with_retries([&] {
+    const Frame reply = roundtrip(request, MessageType::kStatsResponse);
+    WireReader r(reply.payload, peer_);
+    WorkerStats stats = read_stats(r);
+    r.expect_end();
+    return stats;
+  });
 }
 
 std::uint64_t Client::swap_weights(
@@ -108,8 +108,9 @@ std::uint64_t Client::swap_weights(
   // No transport retry: a swap with version 0 assigns the next version,
   // so replaying it is not idempotent; the caller decides whether to
   // re-issue after a fault.
-  const Frame reply = roundtrip(MessageType::kSwapWeights, w.take(),
-                                MessageType::kSwapAck);
+  const Frame reply =
+      roundtrip(make_frame(MessageType::kSwapWeights, w.take()),
+                MessageType::kSwapAck);
   WireReader r(reply.payload, peer_);
   const std::uint64_t active = r.u64();
   r.expect_end();

@@ -42,7 +42,21 @@ class Client {
 
   /// Round-trips one request. Retries kNet faults per config.net_retries
   /// (reconnect + resend); rethrows the last fault when they are exhausted.
+  /// A reply that does not decode as a response is such a fault.
   serve::ServeResponse submit(const serve::ServeRequest& request);
+
+  /// A submit reply as it came off the wire, with its decode.
+  struct SubmitReply {
+    Frame frame;  ///< verified; its checksum is the sender's
+    serve::ServeResponse response;  ///< frame.payload, decoded
+  };
+
+  /// submit() for a request that is already framed: `request` goes out
+  /// under its own checksum, with submit()'s retry loop, and the reply is
+  /// returned only once it decodes as a response. The router forwards
+  /// with this, so neither frame is encoded or hashed again on its way
+  /// through.
+  SubmitReply submit_frame(const Frame& request);
 
   /// Liveness probe; false on any transport fault.
   bool ping();
@@ -69,8 +83,11 @@ class Client {
  private:
   /// One request/response exchange; throws FlowException(kNet) on any
   /// transport fault (and drops the connection so the next try is clean).
-  Frame roundtrip(MessageType type, const std::vector<std::uint8_t>& payload,
-                  MessageType expected);
+  Frame roundtrip(const Frame& request, MessageType expected);
+  /// Runs `exchange` until it returns, retrying kNet faults per
+  /// config.net_retries; rethrows the last fault when they are exhausted.
+  template <typename Exchange>
+  auto with_retries(Exchange exchange);
   void ensure_connected();
 
   ClientConfig config_;

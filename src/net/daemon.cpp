@@ -158,6 +158,11 @@ bool ServeDaemon::handle_frame(int fd, const std::string& peer) {
                        " frame on a worker connection");
         return true;
     }
+  } catch (const DecodeError& e) {
+    // The frame arrived whole and checksummed, so the stream is in step:
+    // answer the sender's decode error and keep the connection.
+    send_error(fd, peer, FlowStage::kNet, e.what());
+    return true;
   } catch (const FlowException& e) {
     if (e.stage() == FlowStage::kNet) {
       // Transport fault: the stream framing is unsynchronized; drop the

@@ -12,15 +12,17 @@
 // (kSwapWeights) decodes the pushed blobs in memory and installs them with
 // Server::swap_backend: in-flight requests finish on the old models, and
 // queued ones run on the new. The predictor is wrapped so its name carries
-// the weight version ("cnn@v3") — serve::config_fingerprint hashes the
-// predictor name, so new weights change every cache key, and the server
-// empties both cache tiers. A swap that carries neither blob changes
-// nothing: the fingerprint and the warm cache stay.
+// the weight version ("cnn@v3"), and serve::config_fingerprint hashes that
+// name and the weights' parameter bits, so new weights change every cache
+// key and the server empties both cache tiers. A swap that carries neither
+// blob changes nothing: the fingerprint and the warm cache stay.
 //
 // Cache persistence: when configured with a snapshot path the daemon
 // restores the result cache from it at startup (if the fingerprint
 // matches) and writes it back on stop() — net/snapshot.h holds the file
-// format.
+// format. The boot model is always named "cnn@v0", so it is the weights'
+// content in the fingerprint that keeps a daemon restarted on other
+// weights from restoring the old model's results.
 #pragma once
 
 #include <atomic>
@@ -97,7 +99,8 @@ class ServeDaemon {
   void accept_loop();
   void handle_connection(Socket sock, const std::string& peer);
   /// One frame in, one frame out. Returns false when the connection should
-  /// close (clean EOF).
+  /// close: a clean EOF or a transport fault. A payload that does not
+  /// decode gets a kError answer, and the connection stays open.
   bool handle_frame(int fd, const std::string& peer);
   void handle_submit(int fd, const std::string& peer,
                      const std::vector<std::uint8_t>& payload);

@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 
 #include <cstring>
+#include <utility>
 
 #include "common/failpoint.h"
 #include "common/hash.h"
@@ -50,30 +51,38 @@ const char* message_type_name(MessageType type) {
   return "unknown";
 }
 
-std::vector<std::uint8_t> encode_frame(
-    MessageType type, const std::vector<std::uint8_t>& payload) {
+Frame make_frame(MessageType type, std::vector<std::uint8_t> payload) {
+  const std::uint64_t checksum = common::fnv1a(payload.data(), payload.size());
+  return Frame{type, std::move(payload), checksum};
+}
+
+namespace {
+
+/// Header + payload in one contiguous buffer, under `checksum`.
+std::vector<std::uint8_t> frame_bytes(MessageType type,
+                                      const std::vector<std::uint8_t>& payload,
+                                      std::uint64_t checksum) {
   WireWriter header;
-  header.u8(static_cast<std::uint8_t>(kFrameMagic[0]));
-  header.u8(static_cast<std::uint8_t>(kFrameMagic[1]));
-  header.u8(static_cast<std::uint8_t>(kFrameMagic[2]));
-  header.u8(static_cast<std::uint8_t>(kFrameMagic[3]));
+  for (char magic : kFrameMagic) header.u8(static_cast<std::uint8_t>(magic));
   header.u16(kProtocolVersion);
   header.u16(static_cast<std::uint16_t>(type));
   header.u32(static_cast<std::uint32_t>(payload.size()));
-  header.u64(common::fnv1a(payload.data(), payload.size()));
+  header.u64(checksum);
   std::vector<std::uint8_t> out = header.take();
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
 
-void write_frame(int fd, MessageType type,
-                 const std::vector<std::uint8_t>& payload,
-                 const std::string& peer) {
+/// The one send path: `payload` under `checksum`, which nothing re-hashes.
+void send_frame(int fd, MessageType type,
+                const std::vector<std::uint8_t>& payload,
+                std::uint64_t checksum, const std::string& peer) {
   fail::maybe_fail("net.frame.write", FlowStage::kNet);
   if (payload.size() > kMaxPayloadBytes)
     frame_fail(peer, "payload too large to send (" +
                          std::to_string(payload.size()) + " bytes)", 0);
-  const std::vector<std::uint8_t> bytes = encode_frame(type, payload);
+  const std::vector<std::uint8_t> bytes =
+      frame_bytes(type, payload, checksum);
   std::size_t sent = 0;
   while (sent < bytes.size()) {
     const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
@@ -86,6 +95,25 @@ void write_frame(int fd, MessageType type,
   obs::counter("net.frame.writes").inc();
   obs::counter("net.frame.bytes_sent").inc(
       static_cast<long long>(bytes.size()));
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_frame(
+    MessageType type, const std::vector<std::uint8_t>& payload) {
+  return frame_bytes(type, payload,
+                     common::fnv1a(payload.data(), payload.size()));
+}
+
+void write_frame(int fd, const Frame& frame, const std::string& peer) {
+  send_frame(fd, frame.type, frame.payload, frame.checksum, peer);
+}
+
+void write_frame(int fd, MessageType type,
+                 const std::vector<std::uint8_t>& payload,
+                 const std::string& peer) {
+  send_frame(fd, type, payload,
+             common::fnv1a(payload.data(), payload.size()), peer);
 }
 
 std::optional<Frame> read_frame(int fd, const std::string& peer) {
@@ -139,6 +167,8 @@ std::optional<Frame> read_frame(int fd, const std::string& peer) {
                std::string("payload checksum mismatch on ") +
                    message_type_name(frame.type) + " frame",
                kFrameHeaderBytes);
+
+  frame.checksum = checksum;
 
   obs::counter("net.frame.reads").inc();
   obs::counter("net.frame.bytes_received").inc(

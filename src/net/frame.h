@@ -16,6 +16,12 @@
 // EOF anywhere else — mid-header or mid-payload — throws
 // FlowException(FlowStage::kNet) naming the peer and how far it got.
 //
+// A Frame keeps the checksum read_frame verified, and every write goes
+// through one path that sends a payload under a given checksum. A
+// forwarder (the router) therefore sends a verified frame on unchanged
+// without hashing its payload again; every hop still checks FNV-1a on
+// receipt.
+//
 // Failpoint sites: "net.frame.read" fires before reading a frame,
 // "net.frame.write" before writing one — both throw as kNet faults, which
 // to the remote side is indistinguishable from a connection cut mid-frame.
@@ -50,20 +56,33 @@ enum class MessageType : std::uint16_t {
 
 const char* message_type_name(MessageType type);
 
-/// One decoded frame.
+/// One frame: its type, payload and the payload's FNV-1a checksum.
 struct Frame {
   MessageType type = MessageType::kPing;
   std::vector<std::uint8_t> payload;
+  /// fnv1a(payload): verified against the header by read_frame, computed
+  /// by make_frame.
+  std::uint64_t checksum = 0;
 };
 
-/// Serializes header + payload into one contiguous buffer (the only
-/// allocation on the send path; written with a single send loop so a frame
-/// is never interleaved with another thread's bytes on the same socket).
+/// A frame to send: `payload` with its checksum computed.
+Frame make_frame(MessageType type, std::vector<std::uint8_t> payload);
+
+/// Header + payload in one contiguous buffer, exactly as write_frame sends
+/// them (the only allocation on the send path; written with a single send
+/// loop so a frame is never interleaved with another thread's bytes on the
+/// same socket).
 std::vector<std::uint8_t> encode_frame(MessageType type,
                                        const std::vector<std::uint8_t>& payload);
 
-/// Writes one frame to `fd`. Throws FlowException(kNet) naming `peer` on
-/// send failure or when the "net.frame.write" failpoint fires.
+/// Writes `frame` to `fd` under its own checksum, hashing nothing: the
+/// caller vouches for it (read_frame verified it, or make_frame computed
+/// it). Throws FlowException(kNet) naming `peer` on a payload over the
+/// 64 MiB cap, on send failure, or when the "net.frame.write" failpoint
+/// fires.
+void write_frame(int fd, const Frame& frame, const std::string& peer);
+
+/// Writes one frame, computing the payload checksum; otherwise as above.
 void write_frame(int fd, MessageType type,
                  const std::vector<std::uint8_t>& payload,
                  const std::string& peer);

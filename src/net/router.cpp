@@ -175,7 +175,7 @@ bool Router::handle_frame(int fd, const std::string& peer) {
     if (!frame) return false;
     switch (frame->type) {
       case MessageType::kSubmitRequest:
-        handle_submit(fd, peer, frame->payload);
+        handle_submit(fd, peer, *frame);
         return true;
       case MessageType::kPing:
         write_frame(fd, MessageType::kPong, {}, peer);
@@ -193,6 +193,11 @@ bool Router::handle_frame(int fd, const std::string& peer) {
                              " frame on a router connection");
         return true;
     }
+  } catch (const DecodeError& e) {
+    // The frame arrived whole and checksummed, so the stream is in step:
+    // answer the sender's decode error and keep the connection.
+    send_error_frame(fd, peer, static_cast<int>(FlowStage::kNet), e.what());
+    return true;
   } catch (const FlowException& e) {
     if (e.stage() == FlowStage::kNet) {
       log_warn("router: dropping ", peer, ": ", e.what());
@@ -244,9 +249,10 @@ std::uint64_t Router::config_fingerprint() {
 }
 
 void Router::handle_submit(int fd, const std::string& peer,
-                           const std::vector<std::uint8_t>& payload) {
-  WireReader r(payload, peer);
-  serve::ServeRequest request = read_request(r);
+                           const Frame& frame) {
+  // Decoded for its route key only: the worker gets the client's bytes.
+  WireReader r(frame.payload, peer);
+  const serve::ServeRequest request = read_request(r);
   r.expect_end();
   obs::counter("net.router.requests").inc();
 
@@ -260,12 +266,12 @@ void Router::handle_submit(int fd, const std::string& peer,
     Shard& shard = shard_for_port(order[i]);
     std::lock_guard<std::mutex> lock(shard.mu);
     try {
-      const serve::ServeResponse response = client_for(shard).submit(request);
+      // The reply has passed its checksum and decodes as a response; it
+      // goes back unchanged, under the worker's checksum.
+      const Client::SubmitReply reply = client_for(shard).submit_frame(frame);
       shard.forwarded->inc();
       if (i > 0) obs::counter("net.router.failovers").inc();
-      WireWriter w;
-      write_response(w, response);
-      write_frame(fd, MessageType::kSubmitResponse, w.bytes(), peer);
+      write_frame(fd, reply.frame, peer);
       return;
     } catch (const FlowException& e) {
       if (e.stage() != FlowStage::kNet) throw;  // a worker answered: real

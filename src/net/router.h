@@ -8,6 +8,16 @@
 // lands on the same worker, and cache affinity across the cluster comes
 // free: N workers hold N disjoint warm sets instead of N copies of one.
 //
+// The router forwards frames, not messages. It decodes a submit only for
+// its route key and sends the client's request bytes on under the client's
+// checksum. It takes the worker's reply as a verified frame, checks that
+// it decodes as a response, and writes that frame back unchanged under the
+// worker's checksum: a routed response is hashed once here, on receipt,
+// and never encoded.
+// A reply that fails its checksum or does not decode fails over to the
+// next shard. A payload that does not decode gets a kError answer and the
+// connection stays open; only a transport fault drops it.
+//
 // The ring hashes each worker endpoint at `replicas` virtual points
 // (Fnv1a("ldmo.net.ring") over endpoint and replica index); a key routes
 // to the first point clockwise. lookup_n() yields distinct workers in ring
@@ -105,8 +115,7 @@ class Router {
   void accept_loop();
   void handle_connection(Socket sock, const std::string& peer);
   bool handle_frame(int fd, const std::string& peer);
-  void handle_submit(int fd, const std::string& peer,
-                     const std::vector<std::uint8_t>& payload);
+  void handle_submit(int fd, const std::string& peer, const Frame& frame);
   void handle_stats(int fd, const std::string& peer);
   void handle_swap(int fd, const std::string& peer,
                    const std::vector<std::uint8_t>& payload);

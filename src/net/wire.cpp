@@ -59,17 +59,21 @@ WireWriter& WireWriter::blob(const std::vector<std::uint8_t>& b) {
 
 WireWriter& WireWriter::grid(const GridF& g) {
   i32(g.height()).i32(g.width());
-  for (std::size_t i = 0; i < g.size(); ++i) f64(g[i]);
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto* cells = reinterpret_cast<const std::uint8_t*>(g.data());
+    bytes_.insert(bytes_.end(), cells, cells + g.size() * sizeof(double));
+  } else {
+    for (std::size_t i = 0; i < g.size(); ++i) f64(g[i]);
+  }
   return *this;
 }
 
 // --- WireReader ---
 
 void WireReader::fail(const std::string& what) const {
-  throw FlowException(FlowStage::kNet,
-                      "wire decode (" + context_ + "): " + what +
-                          " at byte " + std::to_string(offset_) + " of " +
-                          std::to_string(size_));
+  throw DecodeError("wire decode (" + context_ + "): " + what + " at byte " +
+                    std::to_string(offset_) + " of " +
+                    std::to_string(size_));
 }
 
 std::uint8_t WireReader::u8() {
@@ -139,7 +143,12 @@ GridF WireReader::grid() {
     fail("grid payload " + std::to_string(cells * 8) +
          " bytes exceeds remaining " + std::to_string(remaining()));
   GridF g(h, w);
-  for (std::size_t i = 0; i < cells; ++i) g[i] = f64();
+  if constexpr (std::endian::native == std::endian::little) {
+    if (cells != 0) std::memcpy(g.data(), data_ + offset_, cells * 8);
+    offset_ += cells * 8;
+  } else {
+    for (std::size_t i = 0; i < cells; ++i) g[i] = f64();
+  }
   return g;
 }
 

@@ -5,7 +5,11 @@
 // common::Fnv1a, so encoded bytes are identical across platforms, runs and
 // build types. That stability is load-bearing twice over: golden-vector
 // tests pin the format (tests/test_net.cpp), and the cache snapshot file
-// (net/snapshot.h) must be readable by the next process.
+// (net/snapshot.h) must be readable by the next process. The one exception
+// is where the bytes cannot differ: on a little-endian host a grid's f64
+// cells already are their wire bytes, so grid() copies them in one block
+// (the byte loop stays for other hosts), and the golden and grid-bit tests
+// pin that the block copy writes what the loop would.
 //
 // Primitive encodings:
 //   u8            1 byte
@@ -20,8 +24,9 @@
 // with a short ASCII tag string so a decoder pointed at the wrong payload
 // fails loudly with attribution instead of misparsing garbage.
 //
-// Decode errors throw FlowException(FlowStage::kNet) carrying the decoder's
-// context string (peer or path) and the byte offset where decoding stopped.
+// Decode errors throw DecodeError, a FlowException(FlowStage::kNet),
+// carrying the decoder's context string (peer or path) and the byte offset
+// where decoding stopped.
 #pragma once
 
 #include <cstddef>
@@ -67,6 +72,16 @@ class WireWriter {
   std::vector<std::uint8_t> bytes_;
 };
 
+/// A payload that does not decode. It is a FlowException(kNet) to every
+/// caller that catches those; a daemon or router answers it with a kError
+/// frame and keeps the connection, because the frame arrived whole and
+/// checksummed and the stream is still in step.
+class DecodeError : public FlowException {
+ public:
+  explicit DecodeError(const std::string& message)
+      : FlowException(FlowStage::kNet, message) {}
+};
+
 /// Bounds-checked little-endian reader over a byte span. `context` names
 /// the byte source (a peer "127.0.0.1:4021" or a snapshot path) and lands,
 /// with the current byte offset, in every decode error.
@@ -98,8 +113,8 @@ class WireReader {
   /// well-formed message is a framing bug, not padding.
   void expect_end() const;
 
-  /// Decode failure with context + byte offset, always thrown as
-  /// FlowException(FlowStage::kNet).
+  /// Decode failure with context + byte offset, always thrown as a
+  /// DecodeError (a FlowException(FlowStage::kNet)).
   [[noreturn]] void fail(const std::string& what) const;
 
  private:

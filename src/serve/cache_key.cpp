@@ -1,12 +1,14 @@
 #include "serve/cache_key.h"
 
 #include "common/hash.h"
+#include "kernels/kernels.h"
 #include "layout/fingerprint.h"
 
 namespace ldmo::serve {
 
 std::uint64_t config_fingerprint(const core::FlowEngineConfig& config,
                                  const std::string& predictor_name,
+                                 std::uint64_t predictor_digest,
                                  std::uint64_t warm_start_version) {
   common::Fnv1a h;
   // Version tag: bump when the flow's semantics change in a way the fields
@@ -36,7 +38,8 @@ std::uint64_t config_fingerprint(const core::FlowEngineConfig& config,
   h.f64(i.edge_weight);
 
   h.i64(config.flow.max_fallbacks);
-  h.str(predictor_name);
+  h.str(predictor_name).u64(predictor_digest);
+  h.str(kernels::to_string(kernels::active()));
 
   // Warm-start identity: the enabled flag and iteration cap change the
   // masks, and so does the seed model itself — its weight fingerprint

@@ -3,7 +3,8 @@
 // A result-cache key must change whenever anything that could change the
 // produced masks changes: the layout geometry OR any flow configuration
 // knob (optics, resist, metrology, generation, ILT hyperparameters, the
-// predictor that ranks candidates). Two keys:
+// predictor that ranks candidates and its weights, the kernel backend).
+// Two keys:
 //
 //   result key = H(version, config fingerprint, layout fingerprint)
 //   score  key = H(version, config fingerprint, layout fingerprint,
@@ -26,13 +27,18 @@
 namespace ldmo::serve {
 
 /// Fingerprint of every configuration field that can affect a flow result.
-/// `predictor_name` folds the candidate-ranking model identity in (swap
-/// the predictor, invalidate the cache). `warm_start_version` is the
-/// MaskInitializer weight fingerprint (0 when no initializer is
-/// installed): with the warm-start flag on, retraining the seed model
-/// changes the produced masks, so it must retire every cached result.
+/// `predictor_name` and `predictor_digest` (PrintabilityPredictor::
+/// parameter_digest, 0 for a parameter-free predictor) fold the
+/// candidate-ranking model in by name and by content: swap the predictor,
+/// or restart on other weights under the same name, and the cache keys
+/// move. `warm_start_version` is the MaskInitializer weight fingerprint (0
+/// when no initializer is installed): with the warm-start flag on,
+/// retraining the seed model changes the produced masks, so it must retire
+/// every cached result. The active kernel backend is hashed too, because
+/// results differ in their last bits between backends.
 std::uint64_t config_fingerprint(const core::FlowEngineConfig& config,
                                  const std::string& predictor_name,
+                                 std::uint64_t predictor_digest = 0,
                                  std::uint64_t warm_start_version = 0);
 
 /// Result-tier key: one full LdmoResult per (config, layout geometry).

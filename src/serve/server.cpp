@@ -51,7 +51,7 @@ Server::Server(ServeConfig config,
                    : std::make_unique<core::RawPrintPredictor>(
                          *backend_simulator_)),
       config_fp_(serve::config_fingerprint(
-          config_.engine, backend_->name(),
+          config_.engine, backend_->name(), backend_->parameter_digest(),
           config_.warm_start ? config_.warm_start->version() : 0)),
       batcher_(*backend_, config_.batcher),
       score_cache_(config_.score_cache,
@@ -226,7 +226,7 @@ void Server::swap_backend(
       config_.engine.flow.warm_start.enabled = true;
     }
     const std::uint64_t fp = serve::config_fingerprint(
-        config_.engine, backend_->name(),
+        config_.engine, backend_->name(), backend_->parameter_digest(),
         config_.warm_start ? config_.warm_start->version() : 0);
     if (fp != config_fp_.load()) {
       config_fp_.store(fp);

@@ -165,12 +165,12 @@ class Server {
   /// the simulator's), so a refused swap throws and leaves the server as it
   /// was. Then, under the exclusive lock — in-flight requests finish
   /// first, and the dispatchers take no new request until the swap is in —
-  /// the models go in and the config fingerprint is recomputed once. When
-  /// it changed, both cache tiers are emptied: their keys embed the old
-  /// fingerprint and could never hit again. Queued requests are NOT lost;
-  /// they proceed on the new models. Wrap a new predictor in
-  /// core::VersionedPredictor so its name (and with it the fingerprint)
-  /// actually changes.
+  /// the models go in and the config fingerprint is recomputed once, with
+  /// the new predictor's parameter digest. When it changed, both cache
+  /// tiers are emptied: their keys embed the old fingerprint and could
+  /// never hit again. Queued requests are NOT lost; they proceed on the
+  /// new models. Wrap a new predictor in core::VersionedPredictor so its
+  /// name carries the weight version too.
   void swap_backend(
       std::unique_ptr<core::PrintabilityPredictor> predictor,
       std::shared_ptr<const core::MaskInitializer> warm_start = nullptr);

@@ -14,9 +14,11 @@
 //   - cache snapshot save/load/corruption and restart warm-start,
 //   - ServeDaemon + Client loopback bit-identity against a direct
 //     serve::Server, weight hot-swap (refused swaps change nothing; swaps
-//     under load lose no request), transport retries,
-//   - Router forwarding, failover to the surviving shard, swap broadcast
-//     (warm-start section included), and the server-less admin endpoint.
+//     under load lose no request), restarts on other weights, transport
+//     retries, and decode errors answered on a connection that stays open,
+//   - Router forwarding, failover to the surviving shard (also when a
+//     reply does not decode), swap broadcast (warm-start section
+//     included), and the server-less admin endpoint.
 //
 // Flow-running tests use the 32-pixel serving-tier lithography model, so a
 // full run is tens of milliseconds (same budget as test_serve.cpp).
@@ -27,14 +29,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cfloat>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -602,6 +609,60 @@ TEST(WireCorpus, HostileLengthsAreRejectedBeforeAllocation) {
     w.u32(0x00FFFFFF);
     WireReader r(w.bytes(), "test");
     EXPECT_THROW((void)read_layout(r), FlowException);
+  }
+}
+
+TEST(WireCorpus, GridBitsRoundTripExactly) {
+  // The bulk grid copy must write what the per-element f64 encoding
+  // writes, and read back every bit, for the values whose bits a
+  // value-comparison would miss.
+  const std::vector<std::uint64_t> bits = {
+      0x8000000000000000ull,  // -0.0
+      0x7FF0000000000000ull,  // +inf
+      0xFFF0000000000000ull,  // -inf
+      0x7FF8000000000000ull,  // quiet NaN
+      0xFFF8000000000001ull,  // quiet NaN, sign and payload set
+      0x7FF0000000000001ull,  // signalling NaN
+      0x7FF4000000000000ull,  // signalling NaN, high payload bit
+      0x0000000000000001ull,  // smallest denormal
+      0x800FFFFFFFFFFFFFull,  // largest negative denormal
+      std::bit_cast<std::uint64_t>(DBL_MAX),
+      std::bit_cast<std::uint64_t>(-DBL_MAX),
+      std::bit_cast<std::uint64_t>(1.0),
+  };
+  const std::vector<std::pair<int, int>> shapes = {
+      {0, 0}, {1, 1}, {1, 7}, {7, 1}, {64, 64}};
+  for (const auto& [h, w] : shapes) {
+    SCOPED_TRACE(std::to_string(h) + "x" + std::to_string(w));
+    GridF g(h, w);
+    for (std::size_t i = 0; i < g.size(); ++i)
+      g[i] = std::bit_cast<double>(bits[i % bits.size()]);
+
+    WireWriter bulk;
+    bulk.grid(g);
+    WireWriter reference;
+    reference.i32(h).i32(w);
+    for (std::size_t i = 0; i < g.size(); ++i) reference.f64(g[i]);
+    EXPECT_EQ(bulk.bytes(), reference.bytes());
+
+    WireReader r(bulk.bytes(), "grid");
+    const GridF back = r.grid();
+    r.expect_end();
+    ASSERT_EQ(back.height(), h);
+    ASSERT_EQ(back.width(), w);
+    if (g.empty()) continue;  // no cell to compare or cut into
+    EXPECT_EQ(std::memcmp(back.data(), g.data(), g.size() * sizeof(double)),
+              0);
+
+    WireReader cut(bulk.bytes().data(), bulk.size() - 1, "cut");
+    try {
+      (void)cut.grid();
+      FAIL() << "a grid one byte short decoded";
+    } catch (const FlowException& e) {
+      EXPECT_NE(std::string(e.what()).find("exceeds remaining"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -1194,6 +1255,53 @@ TEST_F(NetTest, DaemonRestartRestoresCacheFromSnapshot) {
   EXPECT_EQ(client.submit(request).status, serve::ServeStatus::kCached);
 }
 
+TEST_F(NetTest, RestartWithOtherWeightsDropsTheSnapshot) {
+  // Every boot model is named "cnn@v0", so only the weights' content in
+  // the fingerprint tells a restart on other weights from a plain restart.
+  const std::string weights = "test_net_restart_weights.bin";
+  const std::string path = "test_net_restart_snapshot.bin";
+  cleanup_.push_back(weights);
+  cleanup_.push_back(path);
+  cleanup_.push_back(path + ".tmp");
+  const auto save_weights = [&](std::uint64_t seed) {
+    nn::ResNetConfig net;
+    net.seed = seed;
+    nn::ResNetRegressor model(net);
+    nn::save_parameters(model.parameters(), weights);
+  };
+  serve::ServeRequest request;
+  request.layout = generated_layout(308);
+
+  DaemonConfig dcfg;
+  dcfg.serve = fast_serve_config();
+  dcfg.weights_path = weights;
+  dcfg.snapshot_path = path;
+  save_weights(1);
+  std::uint64_t first_fp = 0;
+  {
+    ServeDaemon daemon(dcfg);
+    first_fp = daemon.server()->config_fingerprint();
+    Client client(ClientConfig{.port = daemon.port()});
+    ASSERT_EQ(client.submit(request).status, serve::ServeStatus::kOk);
+  }  // stop() writes the snapshot
+
+  save_weights(2);
+  {
+    ServeDaemon other(dcfg);
+    EXPECT_EQ(other.server()->predictor_name(), "cnn@v0");
+    EXPECT_NE(other.server()->config_fingerprint(), first_fp);
+    EXPECT_EQ(other.restored_entries(), 0u);
+    Client client(ClientConfig{.port = other.port()});
+    EXPECT_EQ(client.submit(request).status, serve::ServeStatus::kOk);
+  }
+
+  // The same weights again: the snapshot the second daemon wrote fits.
+  ServeDaemon same(dcfg);
+  EXPECT_GE(same.restored_entries(), 1u);
+  Client client(ClientConfig{.port = same.port()});
+  EXPECT_EQ(client.submit(request).status, serve::ServeStatus::kCached);
+}
+
 TEST_F(NetTest, ClientRetriesAbsorbAnInjectedFrameFault) {
   DaemonConfig dcfg;
   dcfg.serve = fast_serve_config();
@@ -1252,6 +1360,59 @@ TEST_F(NetTest, UnexpectedFrameTypeGetsAnErrorAnswer) {
   const std::optional<Frame> answer = read_frame(sock.fd(), "test");
   ASSERT_TRUE(answer.has_value());
   EXPECT_EQ(answer->type, MessageType::kError);
+}
+
+/// Sends payloads that pass their checksum but do not decode, on one raw
+/// connection to `port`. Each must get a kError frame naming the decode
+/// error, and a ping after them a kPong: the connection stays open.
+void expect_decode_errors_answered(int port) {
+  WireWriter submit;
+  write_request(submit, serve::ServeRequest{golden_layout()});
+  std::vector<std::uint8_t> truncated_submit = submit.take();
+  truncated_submit.resize(truncated_submit.size() / 2);
+  WireWriter swap;
+  write_weight_swap(swap, WeightSwap{3, {0xAA, 0xBB, 0xCC}, {}});
+  std::vector<std::uint8_t> truncated_swap = swap.take();
+  truncated_swap.pop_back();
+
+  Socket sock = connect_loopback(port, 10.0, 20);
+  for (const auto& [type, payload] :
+       {std::pair{MessageType::kSubmitRequest, truncated_submit},
+        std::pair{MessageType::kSwapWeights, truncated_swap}}) {
+    SCOPED_TRACE(message_type_name(type));
+    write_frame(sock.fd(), type, payload, "test");
+    const std::optional<Frame> answer = read_frame(sock.fd(), "test");
+    ASSERT_TRUE(answer.has_value());
+    ASSERT_EQ(answer->type, MessageType::kError);
+    WireReader r(answer->payload, "test");
+    EXPECT_EQ(r.u8(), static_cast<std::uint8_t>(FlowStage::kNet));
+    const std::string message = r.str();
+    EXPECT_NE(message.find("wire decode"), std::string::npos) << message;
+    EXPECT_NE(message.find("127.0.0.1:"), std::string::npos) << message;
+    EXPECT_NE(message.find("at byte"), std::string::npos) << message;
+  }
+  write_frame(sock.fd(), MessageType::kPing, {}, "test");
+  const std::optional<Frame> pong = read_frame(sock.fd(), "test");
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_EQ(pong->type, MessageType::kPong);
+}
+
+TEST_F(NetTest, MalformedPayloadGetsAnErrorAndKeepsTheConnection) {
+  DaemonConfig dcfg;
+  dcfg.serve = fast_serve_config();
+  ServeDaemon daemon(dcfg);
+  {
+    SCOPED_TRACE("daemon");
+    expect_decode_errors_answered(daemon.port());
+  }
+  RouterConfig rcfg;
+  rcfg.worker_ports = {daemon.port()};
+  Router router(rcfg);
+  {
+    SCOPED_TRACE("router");
+    expect_decode_errors_answered(router.port());
+  }
+  EXPECT_EQ(daemon.weights_version(), 0u);
 }
 
 // --- router -----------------------------------------------------------------
@@ -1313,6 +1474,90 @@ TEST_F(NetTest, RouterSpreadsRequestsAndSurvivesAWorkerKill) {
   EXPECT_GE(obs::counter("net.router.failovers").value(),
             failovers_before + 1);
   EXPECT_EQ(forwarded(port_a), a_before + 1);  // dead shard got nothing new
+}
+
+/// A worker that answers every submit with a kSubmitResponse frame whose
+/// checksum is valid but whose payload is cut short, and closes the
+/// connection on any other frame.
+class TruncatingWorker {
+ public:
+  TruncatingWorker() : thread_([this] { serve(); }) {}
+  ~TruncatingWorker() {
+    stop_.store(true);
+    thread_.join();
+  }
+  TruncatingWorker(const TruncatingWorker&) = delete;
+  TruncatingWorker& operator=(const TruncatingWorker&) = delete;
+  int port() const { return listener_.port(); }
+  int submits() const { return submits_.load(); }
+
+ private:
+  void serve() {
+    while (!stop_.load()) {
+      Socket sock = listener_.accept(stop_);
+      if (!sock.valid()) return;
+      sock.set_timeout(10.0);
+      try {
+        while (std::optional<Frame> frame = read_frame(sock.fd(), "stub")) {
+          if (frame->type != MessageType::kSubmitRequest) break;
+          ++submits_;
+          WireWriter w;
+          write_response(w, golden_response());
+          std::vector<std::uint8_t> payload = w.take();
+          payload.erase(payload.end() - 8, payload.end());
+          write_frame(sock.fd(), MessageType::kSubmitResponse, payload,
+                      "stub");
+        }
+      } catch (const FlowException&) {
+        // The router hung up mid-frame; take the next connection.
+      }
+    }
+  }
+
+  TcpListener listener_{0};
+  std::atomic<bool> stop_{false};
+  std::atomic<int> submits_{0};
+  std::thread thread_;
+};
+
+TEST_F(NetTest, RouterFailsOverOnAReplyThatDoesNotDecode) {
+  DaemonConfig dcfg;
+  dcfg.serve = fast_serve_config();
+  ServeDaemon healthy(dcfg);
+  TruncatingWorker stub;
+
+  RouterConfig rcfg;
+  // The healthy shard first: the router learns the config fingerprint
+  // from the first worker that answers a stats query.
+  rcfg.worker_ports = {healthy.port(), stub.port()};
+  Router router(rcfg);
+  Client client(ClientConfig{.port = router.port()});
+  const std::uint64_t config_fp = client.stats().config_fingerprint;
+  ASSERT_EQ(config_fp, healthy.server()->config_fingerprint());
+
+  HashRing ring(rcfg.worker_ports, rcfg.ring_replicas);
+  std::uint64_t seed = 500;
+  while (ring.lookup(HashRing::route_key(
+             config_fp, layout::fingerprint(generated_layout(seed)))) !=
+         stub.port())
+    ++seed;
+
+  const long long failovers_before =
+      obs::counter("net.router.failovers").value();
+  serve::ServeRequest request;
+  request.layout = generated_layout(seed);
+  const serve::ServeResponse response = client.submit(request);
+  EXPECT_EQ(response.status, serve::ServeStatus::kOk);
+  EXPECT_GE(stub.submits(), 1);
+  EXPECT_EQ(obs::counter("net.router.failovers").value(),
+            failovers_before + 1);
+
+  // The result is the healthy worker's own.
+  Client direct(ClientConfig{.port = healthy.port()});
+  const serve::ServeResponse cached = direct.submit(request);
+  EXPECT_EQ(cached.status, serve::ServeStatus::kCached);
+  EXPECT_EQ(deterministic_result_bytes(cached.result),
+            deterministic_result_bytes(response.result));
 }
 
 TEST_F(NetTest, RouterWithAllWorkersDownAnswersWithAnError) {
@@ -1377,14 +1622,17 @@ TEST_F(NetTest, RouterBroadcastsWarmStartSwaps) {
         .value();
   };
 
-  // A malformed payload is a decode error at the router; no shard sees it.
+  // A malformed payload is a decode error at the router, answered with a
+  // kError frame; no shard sees it.
   const long long errors_before = shard_errors(worker_a.port());
   {
     WireWriter w;
     w.u64(3).u32(1000);  // CNN section announces 1000 absent bytes
     Socket sock = connect_loopback(router.port(), 10.0, 20);
     write_frame(sock.fd(), MessageType::kSwapWeights, w.bytes(), "test");
-    EXPECT_FALSE(read_frame(sock.fd(), "test").has_value());
+    const std::optional<Frame> answer = read_frame(sock.fd(), "test");
+    ASSERT_TRUE(answer.has_value());
+    EXPECT_EQ(answer->type, MessageType::kError);
   }
   EXPECT_EQ(shard_errors(worker_a.port()), errors_before);
   EXPECT_EQ(worker_a.weights_version(), 0u);

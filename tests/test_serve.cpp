@@ -12,11 +12,14 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "backend_sweep.h"
 #include "core/flow_engine.h"
+#include "core/predictor.h"
 #include "layout/fingerprint.h"
 #include "layout/generator.h"
 #include "mpl/decomposition_generator.h"
@@ -200,6 +203,32 @@ TEST(CacheKey, ConfigChangesChangeTheKey) {
   EXPECT_NE(fp_base, config_fingerprint(tweaked, "raw-print"));
   EXPECT_NE(fp_base, config_fingerprint(base, "cnn"));
   EXPECT_EQ(fp_base, config_fingerprint(base, "raw-print"));
+}
+
+TEST(CacheKey, ModelContentAndKernelBackendChangeTheKey) {
+  const core::FlowEngineConfig base = fast_engine_config();
+  // One predictor name over two weight sets: the parameter digest keys
+  // them apart.
+  const std::uint64_t fp = config_fingerprint(base, "cnn@v0", 1);
+  EXPECT_NE(fp, config_fingerprint(base, "cnn@v0", 2));
+  const core::CnnPredictor a(std::make_unique<nn::ResNetRegressor>());
+  const core::CnnPredictor same(std::make_unique<nn::ResNetRegressor>());
+  nn::ResNetConfig reseeded;
+  reseeded.seed += 1;
+  const core::CnnPredictor other(
+      std::make_unique<nn::ResNetRegressor>(reseeded));
+  EXPECT_EQ(a.parameter_digest(), same.parameter_digest());
+  EXPECT_NE(a.parameter_digest(), other.parameter_digest());
+
+  // Every usable kernel backend gets its own fingerprint.
+  testutil::BackendGuard guard;
+  std::set<std::uint64_t> per_backend;
+  const std::vector<kernels::Backend> backends = testutil::usable_backends();
+  for (kernels::Backend backend : backends) {
+    kernels::select(backend);
+    per_backend.insert(config_fingerprint(base, "cnn@v0", 1));
+  }
+  EXPECT_EQ(per_backend.size(), backends.size());
 }
 
 TEST(CacheKey, ResultKeyIsContentAddressed) {
