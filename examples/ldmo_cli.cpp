@@ -27,9 +27,9 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <mutex>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -38,6 +38,7 @@
 
 #include "common/failpoint.h"
 #include "common/log.h"
+#include "common/record_file.h"
 #include "common/timer.h"
 #include "core/baseline_flows.h"
 #include "core/ldmo_flow.h"
@@ -365,17 +366,10 @@ int cmd_run(int argc, char** argv) {
 // sections the observability layer promises. Used by the CTest smoke test.
 int cmd_validate_report(int argc, char** argv) {
   if (argc < 3) return usage();
-  std::ifstream in(argv[2], std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "validate-report: cannot open %s\n", argv[2]);
-    return 1;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-
+  const std::vector<std::uint8_t> bytes = common::read_file(argv[2]);
   obs::JsonValue doc;
   try {
-    doc = obs::parse_json(buffer.str());
+    doc = obs::parse_json(std::string(bytes.begin(), bytes.end()));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "validate-report: %s\n", e.what());
     return 1;
@@ -476,7 +470,7 @@ int cmd_warmstart_harvest(int argc, char** argv) {
 }
 
 // Trains the MaskNet warm-start model on a harvested corpus and writes the
-// weights (tmp-then-rename). Prints the per-epoch mask MSE plus the cold
+// weights (common::replace_file). Prints the per-epoch mask MSE plus the cold
 // +/- initial_p baseline the learned init must beat.
 int cmd_warmstart_train(int argc, char** argv) {
   const std::string corpus_path =
@@ -918,13 +912,8 @@ int cmd_serve(int argc, char** argv) {
                   const std::vector<std::uint8_t>& blob) {
           daemon.swap_weights(version, blob);
         });
-    if (!cfg.weights_path.empty()) {
-      std::ifstream in(cfg.weights_path, std::ios::binary);
-      std::vector<std::uint8_t> incumbent{
-          std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
-      if (!incumbent.empty()) tuner->set_incumbent(incumbent);
-    }
+    if (!cfg.weights_path.empty())
+      tuner->set_incumbent(common::read_file(cfg.weights_path));
     tuner->start();
   }
 
@@ -1037,27 +1026,12 @@ int cmd_swap_weights(int argc, char** argv) {
       std::atoll(flag_value(argc, argv, "--version", "0")));
 
   std::vector<std::uint8_t> blob;
-  if (weights) {
-    std::ifstream in(weights, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "swap-weights: cannot read %s\n", weights);
-      return 1;
-    }
-    blob.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
-  }
+  if (weights) blob = common::read_file(weights);
   // Optional warm-start MaskNet push in the same swap: the worker loads it
   // into a fresh MaskWarmStart whose version retires warm-dependent keys.
   std::vector<std::uint8_t> warm_blob;
-  if (const char* warm = flag_value(argc, argv, "--warm-start", nullptr)) {
-    std::ifstream in(warm, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "swap-weights: cannot read %s\n", warm);
-      return 1;
-    }
-    warm_blob.assign(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-  }
+  if (const char* warm = flag_value(argc, argv, "--warm-start", nullptr))
+    warm_blob = common::read_file(warm);
   net::Client client(net::ClientConfig{.port = std::atoi(port)});
   const std::uint64_t active = client.swap_weights(version, blob, warm_blob);
   std::printf("swap-weights: active version is now %llu\n",
@@ -1107,22 +1081,14 @@ int cmd_flywheel_train(int argc, char** argv) {
   bool promoted = false;
   flywheel::FineTuner tuner(
       cfg, [&](std::uint64_t, const std::vector<std::uint8_t>& blob) {
-        std::ofstream f(out, std::ios::binary | std::ios::trunc);
-        f.write(reinterpret_cast<const char*>(blob.data()),
-                static_cast<std::streamsize>(blob.size()));
-        if (!f) throw std::runtime_error(std::string("cannot write ") + out);
+        common::replace_file(out, [&](std::ostream& f) {
+          f.write(reinterpret_cast<const char*>(blob.data()),
+                  static_cast<std::streamsize>(blob.size()));
+        });
         promoted = true;
       });
-  if (const char* weights = flag_value(argc, argv, "--weights", nullptr)) {
-    std::ifstream in(weights, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "flywheel-train: cannot read %s\n", weights);
-      return 1;
-    }
-    tuner.set_incumbent(std::vector<std::uint8_t>{
-        std::istreambuf_iterator<char>(in),
-        std::istreambuf_iterator<char>()});
-  }
+  if (const char* weights = flag_value(argc, argv, "--weights", nullptr))
+    tuner.set_incumbent(common::read_file(weights));
   const flywheel::TuneRound round = tuner.run_once();
   std::printf("flywheel-train: %s (records %zu, train %zu, holdout %zu, "
               "incumbent corr %.3f, candidate corr %.3f)\n",

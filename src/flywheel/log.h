@@ -1,28 +1,20 @@
-// Append-only binary training log for the online-learning flywheel.
+// Append-only binary training log for the online-learning flywheel: a
+// common/record_file record log, magic "LDMOFWL1", dimension image_size.
+// Each record's payload is the image_size^2 float32 decomposition image,
+// then the f64 actual score as its little-endian IEEE-754 bits.
 //
-// The serve-time capture sink (sink.h) appends (decomposition image,
-// actual ILT score) pairs here; the background fine-tuner (tuner.h) reads
-// them back. Layout mirrors the warm-start corpus framing discipline
-// (warmstart/corpus.h):
-//
-//   header:  magic "LDMOFWL1" (8 bytes) + u32 little-endian image_size
-//   records: image_size^2 float32 grayscale decomposition image
-//            + f64 actual score (little-endian IEEE-754 bit pattern)
-//            + u64 FNV-1a checksum of the image and score bytes.
-//
-// Records are fixed-size, so the count derives from the file size. Unlike
-// the corpus reader, the flywheel reader is TOLERANT OF A TORN TAIL: the
-// log is appended by a live server that can crash (or hit the
-// flywheel.log.append failpoint) mid-record, and losing the newest pair
-// must not strand every previously captured one. A trailing partial record
-// or a final record with a bad checksum is dropped and reported via
-// TrainingLog::torn_tail; corruption anywhere BEFORE the tail still throws
-// — that is bit rot, not a torn append, and must not train a model.
+// The serve-time capture sink (sink.h) appends; the fine-tuner (tuner.h)
+// reads. Unlike the corpus, the reader TOLERATES A TORN TAIL: a live
+// server can crash (or hit the flywheel.log.append failpoint) mid-record,
+// and losing the newest pair must not strand the earlier ones. The tail is
+// dropped and flagged; bit rot before it still throws.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "common/record_file.h"
 
 namespace ldmo::flywheel {
 
@@ -46,10 +38,9 @@ struct TrainingLog {
 };
 
 /// Appends pairs to `path`, creating the file (with header) when absent.
-/// Opening an existing file validates magic and image size and truncates
-/// the torn tail read_training_log would drop (a partial record, and a
-/// final whole record whose checksum fails), so subsequent appends land on
-/// a trusted record boundary.
+/// Opening an existing file validates magic and image size and cuts the
+/// torn tail read_training_log would drop, so subsequent appends land on a
+/// trusted record boundary.
 class TrainingLogWriter {
  public:
   TrainingLogWriter(std::string path, int image_size);
@@ -62,10 +53,10 @@ class TrainingLogWriter {
 
   int image_size() const { return image_size_; }
   std::size_t appended() const { return appended_; }
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_.path(); }
 
  private:
-  std::string path_;
+  common::RecordLogWriter log_;
   int image_size_ = 0;
   std::size_t appended_ = 0;
 };

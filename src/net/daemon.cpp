@@ -55,8 +55,16 @@ ServeDaemon::ServeDaemon(DaemonConfig config)
           config_.serve, boot_predictor(config_.weights_path))),
       listener_(config_.listen_port) {
   if (!config_.snapshot_path.empty()) {
-    if (std::optional<CacheSnapshot> snapshot =
-            load_cache_snapshot(config_.snapshot_path)) {
+    // A snapshot fault costs the cache, never the worker: one that does not
+    // load is logged, and the daemon starts cold.
+    std::optional<CacheSnapshot> snapshot;
+    try {
+      snapshot = load_cache_snapshot(config_.snapshot_path);
+    } catch (const std::exception& e) {
+      log_warn("daemon: snapshot ", config_.snapshot_path,
+               " does not load (", e.what(), "); starting cold");
+    }
+    if (snapshot) {
       if (snapshot->config_fingerprint == server_->config_fingerprint()) {
         restored_entries_ =
             server_->import_result_cache(std::move(snapshot->entries));
@@ -98,7 +106,15 @@ void ServeDaemon::stop() {
     CacheSnapshot snapshot;
     snapshot.config_fingerprint = server_->config_fingerprint();
     snapshot.entries = server_->export_result_cache();
-    save_cache_snapshot(config_.snapshot_path, snapshot);
+    try {
+      save_cache_snapshot(config_.snapshot_path, snapshot);
+    } catch (const std::exception& e) {
+      // stop() runs from the destructor: a failed save must not escape.
+      // replace_file left the previous snapshot as it was.
+      log_warn("daemon: cannot save snapshot ", config_.snapshot_path, " (",
+               e.what(), "); keeping the previous one");
+      return;
+    }
     obs::counter("net.daemon.snapshot.saved")
         .inc(static_cast<long long>(snapshot.entries.size()));
     log_info("daemon: saved ", snapshot.entries.size(),

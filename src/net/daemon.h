@@ -20,9 +20,12 @@
 // Cache persistence: when configured with a snapshot path the daemon
 // restores the result cache from it at startup (if the fingerprint
 // matches) and writes it back on stop() — net/snapshot.h holds the file
-// format. The boot model is always named "cnn@v0", so it is the weights'
-// content in the fingerprint that keeps a daemon restarted on other
-// weights from restoring the old model's results.
+// format. A snapshot fault costs the cache, never the worker: a snapshot
+// that does not load is logged and the daemon starts cold, and a failed
+// save is logged and leaves the previous file in place. The boot model is
+// always named "cnn@v0", so it is the weights' content in the fingerprint
+// that keeps a daemon restarted on other weights from restoring the old
+// model's results.
 #pragma once
 
 #include <atomic>
@@ -58,8 +61,9 @@ struct DaemonConfig {
 
 class ServeDaemon {
  public:
-  /// Builds the server (restoring the cache snapshot when one matches) and
-  /// starts listening. Throws on unreadable weights or bind failure.
+  /// Builds the server (restoring the cache snapshot when one loads and
+  /// matches) and starts listening. Throws on unreadable weights or bind
+  /// failure.
   explicit ServeDaemon(DaemonConfig config);
   ~ServeDaemon();
 
@@ -92,7 +96,8 @@ class ServeDaemon {
   std::size_t restored_entries() const { return restored_entries_; }
 
   /// Stops accepting, joins every connection thread, drains the server and
-  /// writes the cache snapshot. Idempotent; the destructor calls it.
+  /// writes the cache snapshot (a failed write is logged, not thrown).
+  /// Idempotent; the destructor calls it.
   void stop();
 
  private:

@@ -1,9 +1,10 @@
 #include "net/snapshot.h"
 
-#include <cstdio>
-#include <fstream>
+#include <filesystem>
+#include <ostream>
 
 #include "common/flow_error.h"
+#include "common/record_file.h"
 #include "net/wire.h"
 
 namespace ldmo::net {
@@ -37,29 +38,15 @@ void save_cache_snapshot(const std::string& path,
     write_result(w, result);
   }
 
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out)
-      throw FlowException(FlowStage::kNet,
-                          "snapshot: cannot open " + tmp + " for writing");
+  common::replace_file(path, [&](std::ostream& out) {
     out.write(reinterpret_cast<const char*>(w.bytes().data()),
               static_cast<std::streamsize>(w.size()));
-    if (!out)
-      throw FlowException(FlowStage::kNet, "snapshot: write to " + tmp +
-                                               " failed");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0)
-    throw FlowException(FlowStage::kNet,
-                        "snapshot: cannot rename " + tmp + " to " + path);
+  });
 }
 
 std::optional<CacheSnapshot> load_cache_snapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;  // cold start
-  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                                  std::istreambuf_iterator<char>()};
-
+  if (!std::filesystem::exists(path)) return std::nullopt;  // cold start
+  const std::vector<std::uint8_t> bytes = common::read_file(path);
   WireReader r(bytes, path);
   for (char magic : kSnapshotMagic) {
     if (r.u8() != static_cast<std::uint8_t>(magic))
@@ -72,8 +59,13 @@ std::optional<CacheSnapshot> load_cache_snapshot(const std::string& path) {
 
   CacheSnapshot snapshot;
   snapshot.config_fingerprint = r.u64();
+  // Each entry starts with its 8-byte key, so a count the remaining bytes
+  // cannot hold is corrupt. No reserve: a decoded entry is far larger in
+  // memory than on disk.
   const std::uint32_t count = r.u32();
-  snapshot.entries.reserve(count);
+  if (static_cast<std::size_t>(count) * 8 > r.remaining())
+    r.fail("snapshot entry count " + std::to_string(count) +
+           " exceeds remaining payload");
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint64_t key = r.u64();
     snapshot.entries.emplace_back(key, read_result(r));

@@ -2,7 +2,7 @@
 // process restart, so a rolling restart does not cost the cluster its hit
 // rate.
 //
-// File layout (all wire.h little-endian encoding):
+// File layout (wire.h encoding):
 //
 //   magic "LDSN", u16 snapshot version = 1,
 //   u64 config fingerprint of the server that exported the entries,
@@ -15,9 +15,8 @@
 // snapshot taken under a different configuration (those keys could never be
 // looked up — carrying them would only burn cache budget).
 //
-// Writes go to `<path>.tmp` then rename into place, the same atomic
-// discipline as nn::save_parameters: a crash mid-write never destroys the
-// previous snapshot.
+// Saving goes through common::replace_file, so a failed or interrupted
+// save never destroys the previous snapshot.
 #pragma once
 
 #include <cstdint>
@@ -35,14 +34,15 @@ struct CacheSnapshot {
   std::vector<std::pair<std::uint64_t, core::LdmoResult>> entries;
 };
 
-/// Serializes `snapshot` to `path` (tmp-then-rename). Throws
-/// FlowException(FlowStage::kNet) on I/O failure.
+/// Serializes `snapshot` to `path` (common::replace_file). Throws
+/// ldmo::Error on I/O failure, leaving any previous file intact.
 void save_cache_snapshot(const std::string& path,
                          const CacheSnapshot& snapshot);
 
 /// Loads a snapshot. Returns nullopt when `path` does not exist (a cold
 /// start, not an error). Throws FlowException(kNet) — message carries the
-/// path and byte offset — on truncation, corruption or version mismatch.
+/// path and byte offset — on truncation, corruption or version mismatch,
+/// and ldmo::Error when the file cannot be read.
 std::optional<CacheSnapshot> load_cache_snapshot(const std::string& path);
 
 }  // namespace ldmo::net

@@ -1,11 +1,11 @@
 #include "nn/serialize.h"
 
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 
 #include "common/error.h"
 #include "common/failpoint.h"
+#include "common/record_file.h"
 
 namespace ldmo::nn {
 namespace {
@@ -84,27 +84,12 @@ void parse(const std::vector<Parameter*>& parameters, std::uint64_t size,
 
 void save_parameters(const std::vector<Parameter*>& parameters,
                      const std::string& path) {
-  // Write-then-rename: a crash (or failpoint) mid-save leaves at worst a
-  // stale .tmp file — the previous weights at `path` survive intact. The
-  // rename is atomic on POSIX filesystems.
-  const std::string tmp = path + ".tmp";
-  try {
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      require(out.good(), "save_parameters: cannot open " + tmp);
-      encode(parameters, [&](const void* data, std::size_t bytes) {
-        out.write(static_cast<const char*>(data),
-                  static_cast<std::streamsize>(bytes));
-      });
-      out.flush();
-      require(out.good(), "save_parameters: write failed for " + tmp);
-    }
-    require(std::rename(tmp.c_str(), path.c_str()) == 0,
-            "save_parameters: cannot rename " + tmp + " to " + path);
-  } catch (...) {
-    std::remove(tmp.c_str());  // best effort; the original is untouched
-    throw;
-  }
+  common::replace_file(path, [&](std::ostream& out) {
+    encode(parameters, [&](const void* data, std::size_t bytes) {
+      out.write(static_cast<const char*>(data),
+                static_cast<std::streamsize>(bytes));
+    });
+  });
 }
 
 std::vector<std::uint8_t> encode_parameters(

@@ -8,9 +8,9 @@
 // writes a single value: a mismatched architecture, a truncated payload
 // or trailing garbage throws and leaves the network untouched. Files are
 // streamed straight into the parameters, never buffered whole. Saving
-// writes to `<path>.tmp` and atomically renames into place — a crash
-// mid-save never destroys the previous weights. The encoder fires the
-// "nn.save" failpoint and the parser "nn.load", on both paths.
+// streams through common::replace_file, so a failed or interrupted save
+// never destroys the previous weights. The encoder fires the "nn.save"
+// failpoint and the parser "nn.load", on both paths.
 #pragma once
 
 #include <cstdint>
@@ -21,9 +21,8 @@
 
 namespace ldmo::nn {
 
-/// Writes all parameter values to `path` via an atomic
-/// write-to-temp-then-rename. Throws on I/O failure (leaving any previous
-/// file at `path` intact).
+/// Writes all parameter values to `path` (common::replace_file). Throws on
+/// I/O failure, leaving any previous file at `path` intact.
 void save_parameters(const std::vector<Parameter*>& parameters,
                      const std::string& path);
 

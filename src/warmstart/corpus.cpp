@@ -1,178 +1,73 @@
 #include "warmstart/corpus.h"
 
 #include <cstring>
-#include <fstream>
+#include <span>
 
 #include "common/error.h"
-#include "common/hash.h"
 
 namespace ldmo::warmstart {
 namespace {
 
-constexpr char kMagic[8] = {'L', 'D', 'M', 'O', 'W', 'S', 'C', '1'};
-constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 4;
+/// The five planes of a record, in payload order.
+constexpr std::vector<float> ClipRecord::*kPlanes[] = {
+    &ClipRecord::target, &ClipRecord::raster1, &ClipRecord::raster2,
+    &ClipRecord::mask1, &ClipRecord::mask2};
 
-std::size_t plane_bytes(int grid_size) {
-  return static_cast<std::size_t>(grid_size) * grid_size * sizeof(float);
+std::size_t payload_bytes(std::uint32_t grid_size) {
+  return std::size(kPlanes) * grid_size * grid_size * sizeof(float);
 }
 
-std::size_t record_bytes(int grid_size) {
-  return 5 * plane_bytes(grid_size) + sizeof(std::uint64_t);
-}
+constexpr common::RecordLogFormat kFormat{"LDMOWSC1", "warmstart corpus",
+                                          payload_bytes};
 
-std::uint64_t record_checksum(const ClipRecord& record, int grid_size) {
-  common::Fnv1a h;
-  const std::size_t bytes = plane_bytes(grid_size);
-  h.bytes(record.target.data(), bytes);
-  h.bytes(record.raster1.data(), bytes);
-  h.bytes(record.raster2.data(), bytes);
-  h.bytes(record.mask1.data(), bytes);
-  h.bytes(record.mask2.data(), bytes);
-  return h.digest();
-}
-
-void write_u32_le(std::ostream& out, std::uint32_t v) {
-  unsigned char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-  out.write(reinterpret_cast<const char*>(b), 4);
-}
-
-void write_u64_le(std::ostream& out, std::uint64_t v) {
-  unsigned char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-  out.write(reinterpret_cast<const char*>(b), 8);
-}
-
-std::uint32_t read_u32_le(std::istream& in) {
-  unsigned char b[4] = {};
-  in.read(reinterpret_cast<char*>(b), 4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t read_u64_le(std::istream& in) {
-  unsigned char b[8] = {};
-  in.read(reinterpret_cast<char*>(b), 8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-  return v;
-}
-
-/// Opens `path` for validated reading, returning the grid size. `size_out`
-/// receives the total file size in bytes.
-int open_validated(const std::string& path, std::ifstream& in,
-                   std::size_t& size_out) {
-  in.open(path, std::ios::binary | std::ios::ate);
-  require(in.good(), "warmstart corpus: cannot open " + path);
-  size_out = static_cast<std::size_t>(in.tellg());
-  require(size_out >= kHeaderBytes,
-          "warmstart corpus: file shorter than header: " + path);
-  in.seekg(0);
-  char magic[sizeof(kMagic)] = {};
-  in.read(magic, sizeof(magic));
-  require(std::memcmp(magic, kMagic, sizeof(kMagic)) == 0,
-          "warmstart corpus: bad magic in " + path);
-  const std::uint32_t grid = read_u32_le(in);
-  require(in.good() && grid >= 8 && grid <= 4096,
-          "warmstart corpus: implausible grid size in " + path);
-  const std::size_t payload = size_out - kHeaderBytes;
-  require(payload % record_bytes(static_cast<int>(grid)) == 0,
-          "warmstart corpus: size is not a whole number of records "
-          "(truncated or torn append): " +
-              path);
-  return static_cast<int>(grid);
+/// The corpus refuses a torn tail: training reads whole corpora only.
+std::size_t untorn(const common::RecordLogInfo& info, const std::string& path) {
+  require(!info.torn_tail,
+          "warmstart corpus: size is not a whole number of good records "
+          "(truncated or torn append): " + path);
+  return info.records;
 }
 
 }  // namespace
 
 CorpusWriter::CorpusWriter(std::string path, int grid_size)
-    : path_(std::move(path)), grid_size_(grid_size) {
-  require(grid_size_ >= 8 && grid_size_ <= 4096,
-          "CorpusWriter: implausible grid size");
-  std::ifstream existing(path_, std::ios::binary);
-  if (existing.good() && existing.peek() != std::ifstream::traits_type::eof()) {
-    existing.close();
-    std::ifstream check;
-    std::size_t size = 0;
-    const int file_grid = open_validated(path_, check, size);
-    require(file_grid == grid_size_,
-            "CorpusWriter: existing corpus " + path_ + " has grid " +
-                std::to_string(file_grid) + ", expected " +
-                std::to_string(grid_size_));
-    return;  // header already present, appends go to the end
-  }
-  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  require(out.good(), "CorpusWriter: cannot create " + path_);
-  out.write(kMagic, sizeof(kMagic));
-  write_u32_le(out, static_cast<std::uint32_t>(grid_size_));
-  out.flush();
-  require(out.good(), "CorpusWriter: header write failed for " + path_);
-}
+    : log_(std::move(path), kFormat, static_cast<std::uint32_t>(grid_size)),
+      grid_size_(grid_size) {}
 
 void CorpusWriter::append(const ClipRecord& record) {
-  const std::size_t n =
-      static_cast<std::size_t>(grid_size_) * static_cast<std::size_t>(grid_size_);
-  require(record.target.size() == n && record.raster1.size() == n &&
-              record.raster2.size() == n && record.mask1.size() == n &&
-              record.mask2.size() == n,
-          "CorpusWriter::append: plane size does not match grid");
-  std::ofstream out(path_, std::ios::binary | std::ios::app);
-  require(out.good(), "CorpusWriter: cannot append to " + path_);
-  const std::size_t bytes = plane_bytes(grid_size_);
-  out.write(reinterpret_cast<const char*>(record.target.data()),
-            static_cast<std::streamsize>(bytes));
-  out.write(reinterpret_cast<const char*>(record.raster1.data()),
-            static_cast<std::streamsize>(bytes));
-  out.write(reinterpret_cast<const char*>(record.raster2.data()),
-            static_cast<std::streamsize>(bytes));
-  out.write(reinterpret_cast<const char*>(record.mask1.data()),
-            static_cast<std::streamsize>(bytes));
-  out.write(reinterpret_cast<const char*>(record.mask2.data()),
-            static_cast<std::streamsize>(bytes));
-  write_u64_le(out, record_checksum(record, grid_size_));
-  out.flush();
-  require(out.good(), "CorpusWriter: append failed for " + path_);
+  const std::size_t n = static_cast<std::size_t>(grid_size_) * grid_size_;
+  for (const auto plane : kPlanes)
+    require((record.*plane).size() == n,
+            "CorpusWriter::append: plane size does not match grid");
+  log_.append({std::as_bytes(std::span(record.target)),
+               std::as_bytes(std::span(record.raster1)),
+               std::as_bytes(std::span(record.raster2)),
+               std::as_bytes(std::span(record.mask1)),
+               std::as_bytes(std::span(record.mask2))});
   ++appended_;
 }
 
 Corpus read_corpus(const std::string& path) {
-  std::ifstream in;
-  std::size_t size = 0;
   Corpus corpus;
-  corpus.grid_size = open_validated(path, in, size);
-  const std::size_t count =
-      (size - kHeaderBytes) / record_bytes(corpus.grid_size);
-  const std::size_t n = static_cast<std::size_t>(corpus.grid_size) *
-                        static_cast<std::size_t>(corpus.grid_size);
-  corpus.records.reserve(count);
-  for (std::size_t r = 0; r < count; ++r) {
-    ClipRecord record;
-    const auto read_plane = [&](std::vector<float>& plane) {
-      plane.resize(n);
-      in.read(reinterpret_cast<char*>(plane.data()),
-              static_cast<std::streamsize>(n * sizeof(float)));
-    };
-    read_plane(record.target);
-    read_plane(record.raster1);
-    read_plane(record.raster2);
-    read_plane(record.mask1);
-    read_plane(record.mask2);
-    const std::uint64_t stored = read_u64_le(in);
-    require(in.good(), "warmstart corpus: short read in " + path);
-    require(stored == record_checksum(record, corpus.grid_size),
-            "warmstart corpus: checksum mismatch in record " +
-                std::to_string(r) + " of " + path);
-    corpus.records.push_back(std::move(record));
-  }
+  const common::RecordLogInfo info = common::read_record_log(
+      path, kFormat, [&](std::span<const std::byte> payload) {
+        const std::size_t plane_bytes = payload.size() / std::size(kPlanes);
+        ClipRecord record;
+        const std::byte* next = payload.data();
+        for (const auto plane : kPlanes) {
+          (record.*plane).resize(plane_bytes / sizeof(float));
+          std::memcpy((record.*plane).data(), next, plane_bytes);
+          next += plane_bytes;
+        }
+        corpus.records.push_back(std::move(record));
+      });
+  untorn(info, path);
+  corpus.grid_size = static_cast<int>(info.dimension);
   return corpus;
 }
 
 std::size_t corpus_record_count(const std::string& path) {
-  std::ifstream in;
-  std::size_t size = 0;
-  const int grid = open_validated(path, in, size);
-  return (size - kHeaderBytes) / record_bytes(grid);
+  return untorn(common::record_log_shape(path, kFormat), path);
 }
 
 }  // namespace ldmo::warmstart

@@ -1,23 +1,19 @@
-// Append-only binary training corpus for the warm-start MaskNet.
+// Append-only binary training corpus for the warm-start MaskNet: a
+// common/record_file record log, magic "LDMOWSC1", dimension grid_size.
+// Each record's payload is 5 float32 planes of grid_size^2 each, in order
+// target, raster1, raster2, mask1, mask2.
 //
-// One file holds clips at a fixed grid resolution. Layout:
-//
-//   header:  magic "LDMOWSC1" (8 bytes) + u32 little-endian grid_size
-//   records: 5 float32 planes of grid_size^2 each, in order
-//              target, raster1, raster2, mask1, mask2
-//            followed by a u64 FNV-1a checksum of the 5 planes' bytes.
-//
-// Records are fixed-size, so the count is derived from the file size; a
-// file whose size is not header + k * record is rejected outright, as is
-// any record whose checksum does not match (torn append, bit rot). The
-// harvester appends with CorpusWriter; training reads the whole file with
-// read_corpus. No index, no compaction — the corpus is write-once data
-// that retrains a model, not a database.
+// The harvester appends with CorpusWriter; training reads the whole file
+// with read_corpus, which refuses a torn tail as well as bit rot, so a
+// corrupt corpus never trains a model halfway. No index, no compaction —
+// the corpus is write-once data that retrains a model, not a database.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "common/record_file.h"
 
 namespace ldmo::warmstart {
 
@@ -39,33 +35,31 @@ struct Corpus {
 };
 
 /// Appends records to `path`, creating the file (with header) when absent.
-/// Opening an existing file validates its header against `grid_size`.
+/// Opening an existing file validates its header against `grid_size` and
+/// cuts a torn tail.
 class CorpusWriter {
  public:
   CorpusWriter(std::string path, int grid_size);
 
-  /// Appends one record (all planes must be grid_size^2). Throws on I/O
-  /// failure; the flush happens per append so a crash loses at most the
-  /// record being written — which the strict reader then rejects by size.
+  /// Appends one record (all planes must be grid_size^2) and flushes it.
   void append(const ClipRecord& record);
 
   int grid_size() const { return grid_size_; }
   std::size_t appended() const { return appended_; }
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_.path(); }
 
  private:
-  std::string path_;
+  common::RecordLogWriter log_;
   int grid_size_ = 0;
   std::size_t appended_ = 0;
 };
 
 /// Reads and validates an entire corpus file. Throws ldmo::Error on bad
-/// magic, bad grid size, a size that is not a whole number of records, or
-/// any checksum mismatch — a corrupt corpus never trains a model halfway.
+/// magic, bad grid size, a torn tail, or any checksum mismatch.
 Corpus read_corpus(const std::string& path);
 
 /// Record count of a corpus file without reading the payload (header and
-/// size validation only).
+/// size validation only; a partial trailing record throws).
 std::size_t corpus_record_count(const std::string& path);
 
 }  // namespace ldmo::warmstart

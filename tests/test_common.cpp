@@ -2,12 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <set>
 
 #include "common/error.h"
 #include "common/grid.h"
 #include "common/hash.h"
 #include "common/log.h"
+#include "common/record_file.h"
 #include "obs/json.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -307,6 +310,167 @@ TEST(Log, JsonFormatLineIsParseableAndEscaped) {
   // One object per line: embedded newlines in the message must not break
   // line-oriented consumers.
   EXPECT_EQ(line.find('\n'), std::string::npos);
+}
+
+// --- record_file ------------------------------------------------------------
+
+std::string record_path(const std::string& name) {
+  return ::testing::TempDir() + "ldmo_record_file_" + name;
+}
+
+std::vector<std::uint8_t> text_bytes(std::string_view text) {
+  return {text.begin(), text.end()};
+}
+
+TEST(RecordFile, ReplaceFileSwapsTheWholeFile) {
+  const std::string path = record_path("replace.bin");
+  common::replace_file(path, [](std::ostream& out) { out << "first"; });
+  common::replace_file(path, [](std::ostream& out) { out << "second"; });
+  EXPECT_EQ(common::read_file(path), text_bytes("second"));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_THROW(common::read_file(record_path("missing.bin")), Error);
+}
+
+TEST(RecordFile, FailedReplaceKeepsTheOldFileAndLeavesNoTmp) {
+  const std::string path = record_path("replace_fail.bin");
+  common::replace_file(path, [](std::ostream& out) { out << "incumbent"; });
+  const auto expect_kept = [&] {
+    EXPECT_EQ(common::read_file(path), text_bytes("incumbent"));
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  };
+  // The writer throws half way.
+  EXPECT_THROW(common::replace_file(path,
+                                    [](std::ostream& out) {
+                                      out << "half";
+                                      raise("writer failed");
+                                    }),
+               Error);
+  expect_kept();
+  // The stream fails.
+  EXPECT_THROW(common::replace_file(path,
+                                    [](std::ostream& out) {
+                                      out << "half";
+                                      out.setstate(std::ios::badbit);
+                                    }),
+               Error);
+  expect_kept();
+  // The tmp file cannot be created.
+  const std::string orphan = record_path("no_such_dir/x.bin");
+  EXPECT_THROW(
+      common::replace_file(orphan, [](std::ostream& out) { out << "x"; }),
+      Error);
+  // The rename fails: the target is a directory.
+  const std::string dir = record_path("replace_dir");
+  std::filesystem::create_directory(dir);
+  EXPECT_THROW(common::replace_file(dir, [](std::ostream& out) { out << "x"; }),
+               Error);
+  EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
+  std::filesystem::remove(dir);
+}
+
+std::size_t test_payload_bytes(std::uint32_t dimension) { return dimension; }
+
+constexpr common::RecordLogFormat kTestLog{"LDMOTST1", "test log",
+                                           test_payload_bytes};
+constexpr std::size_t kLogHeader = 12;
+constexpr std::size_t kLogRecord = 8 + 8;  // dimension 8 + checksum
+
+std::vector<std::byte> test_payload(int k) {
+  std::vector<std::byte> payload(8);
+  for (int i = 0; i < 8; ++i) payload[i] = static_cast<std::byte>(10 * k + i);
+  return payload;
+}
+
+std::vector<std::vector<std::byte>> read_log(const std::string& path,
+                                             common::RecordLogInfo& info) {
+  std::vector<std::vector<std::byte>> records;
+  info = common::read_record_log(path, kTestLog,
+                                 [&](std::span<const std::byte> payload) {
+                                   records.emplace_back(payload.begin(),
+                                                        payload.end());
+                                 });
+  return records;
+}
+
+std::string fresh_log(const std::string& name, int records) {
+  const std::string path = record_path(name);
+  std::remove(path.c_str());
+  common::RecordLogWriter writer(path, kTestLog, 8);
+  for (int k = 0; k < records; ++k) writer.append({test_payload(k)});
+  return path;
+}
+
+void flip_byte(const std::string& path, std::size_t offset) {
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  file.seekg(static_cast<std::streamoff>(offset));
+  const char c = static_cast<char>(file.get());
+  file.seekp(static_cast<std::streamoff>(offset));
+  file.put(static_cast<char>(c ^ 0x5A));
+}
+
+TEST(RecordLog, RoundTripsAndValidatesTheHeader) {
+  const std::string path = fresh_log("roundtrip.log", 1);
+  {
+    // A payload may arrive in parts; they are one record on disk.
+    const std::vector<std::byte> payload = test_payload(1);
+    common::RecordLogWriter writer(path, kTestLog, 8);
+    writer.append({std::span(payload).first(3), std::span(payload).subspan(3)});
+    EXPECT_THROW(writer.append({std::span(payload).first(7)}), Error);
+  }
+  EXPECT_EQ(std::filesystem::file_size(path), kLogHeader + 2 * kLogRecord);
+  common::RecordLogInfo info;
+  const auto records = read_log(path, info);
+  EXPECT_EQ(info.dimension, 8u);
+  EXPECT_EQ(info.records, 2u);
+  EXPECT_FALSE(info.torn_tail);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0], test_payload(0));
+  EXPECT_EQ(records[1], test_payload(1));
+  EXPECT_EQ(common::record_log_shape(path, kTestLog).records, 2u);
+
+  EXPECT_THROW(common::RecordLogWriter(path, kTestLog, 16), Error);
+  constexpr common::RecordLogFormat kOther{"LDMOXXX1", "other log",
+                                           test_payload_bytes};
+  EXPECT_THROW(common::RecordLogWriter(path, kOther, 8), Error);
+  EXPECT_THROW(common::record_log_shape(path, kOther), Error);
+  EXPECT_THROW(common::RecordLogWriter(record_path("tiny.log"), kTestLog, 4),
+               Error);
+}
+
+TEST(RecordLog, WriterCutsAPartialTailAndAChecksumFailedFinalRecord) {
+  const std::string path = fresh_log("torn.log", 3);
+  // A crash mid-append: the file ends 5 bytes into record 3.
+  std::filesystem::resize_file(path, kLogHeader + 2 * kLogRecord + 5);
+  const common::RecordLogInfo shape =
+      common::record_log_shape(path, kTestLog);
+  EXPECT_EQ(shape.records, 2u);
+  EXPECT_TRUE(shape.torn_tail);
+  common::RecordLogInfo info;
+  EXPECT_EQ(read_log(path, info).size(), 2u);
+  EXPECT_TRUE(info.torn_tail);
+  { common::RecordLogWriter writer(path, kTestLog, 8); }
+  EXPECT_EQ(std::filesystem::file_size(path), kLogHeader + 2 * kLogRecord);
+
+  // A torn append that ended on a record boundary: the final record is
+  // whole but fails its checksum.
+  flip_byte(path, kLogHeader + kLogRecord + 3);
+  EXPECT_EQ(read_log(path, info).size(), 1u);
+  EXPECT_TRUE(info.torn_tail);
+  common::RecordLogWriter(path, kTestLog, 8).append({test_payload(7)});
+  const auto records = read_log(path, info);
+  EXPECT_FALSE(info.torn_tail);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0], test_payload(0));
+  EXPECT_EQ(records[1], test_payload(7));
+}
+
+TEST(RecordLog, EarlierChecksumFailureThrows) {
+  for (std::size_t record : {0u, 1u}) {
+    const std::string path = fresh_log("rot.log", 3);
+    flip_byte(path, kLogHeader + record * kLogRecord + 2);
+    common::RecordLogInfo info;
+    EXPECT_THROW(read_log(path, info), Error) << "record " << record;
+  }
 }
 
 }  // namespace

@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -925,6 +926,100 @@ TEST_F(NetTest, CorruptSnapshotsThrowWithPathAttribution) {
     EXPECT_EQ(e.stage(), FlowStage::kNet);
     EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
   }
+}
+
+TEST_F(NetTest, SnapshotEntryCountIsBoundedByTheBytesLeft) {
+  // Bytes 14..17 hold the u32 entry count, 17 its high byte: a flipped bit
+  // there asks for tens of millions of entries the file cannot hold. That
+  // must be a decode error naming the path, not an allocation failure.
+  const std::string path = "test_net_snapshot_count.bin";
+  cleanup_.push_back(path);
+  CacheSnapshot snapshot;
+  snapshot.config_fingerprint = 3;
+  snapshot.entries.emplace_back(11, golden_result());
+  snapshot.entries.emplace_back(22, golden_result());
+  save_cache_snapshot(path, snapshot);
+  std::vector<char> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_EQ(bytes[14], 2);
+  for (int bit = 2; bit < 8; ++bit) {
+    std::vector<char> flipped = bytes;
+    flipped[17] = static_cast<char>(flipped[17] ^ (1 << bit));
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(flipped.data(), static_cast<std::streamsize>(flipped.size()));
+    }
+    try {
+      (void)load_cache_snapshot(path);
+      ADD_FAILURE() << "count bit " << bit + 24 << " flipped: loaded";
+    } catch (const FlowException& e) {
+      EXPECT_EQ(e.stage(), FlowStage::kNet);
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "count bit " << bit + 24 << " flipped: " << e.what();
+    }
+  }
+}
+
+TEST_F(NetTest, SnapshotThatDoesNotLoadStartsTheWorkerCold) {
+  const std::string path = "test_net_snapshot_garbage.bin";
+  cleanup_.push_back(path);
+  cleanup_.push_back(path + ".tmp");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "this is not a snapshot";
+  }
+  DaemonConfig dcfg;
+  dcfg.serve = fast_serve_config();
+  dcfg.snapshot_path = path;
+  std::unique_ptr<ServeDaemon> daemon;
+  EXPECT_NO_THROW(daemon = std::make_unique<ServeDaemon>(dcfg));
+  ASSERT_NE(daemon, nullptr);
+  EXPECT_EQ(daemon->restored_entries(), 0u);
+  Client client(ClientConfig{.port = daemon->port()});
+  serve::ServeRequest request;
+  request.layout = generated_layout(309);
+  EXPECT_EQ(client.submit(request).status, serve::ServeStatus::kOk);
+}
+
+TEST_F(NetTest, FailedSnapshotSaveKeepsTheWorkerAndThePreviousSnapshot) {
+  const std::string path = "test_net_snapshot_kept.bin";
+  const std::string blocker = path + ".tmp";
+  cleanup_.push_back(path);
+  cleanup_.push_back(blocker);
+  DaemonConfig dcfg;
+  dcfg.serve = fast_serve_config();
+  dcfg.snapshot_path = path;
+  serve::ServeRequest first;
+  first.layout = generated_layout(310);
+  {
+    ServeDaemon daemon(dcfg);
+    Client client(ClientConfig{.port = daemon.port()});
+    ASSERT_EQ(client.submit(first).status, serve::ServeStatus::kOk);
+  }  // stop() writes a 1-entry snapshot
+  const std::optional<CacheSnapshot> saved = load_cache_snapshot(path);
+  ASSERT_TRUE(saved.has_value());
+  ASSERT_EQ(saved->entries.size(), 1u);
+
+  // A directory where the save's tmp file goes makes the next save fail.
+  ASSERT_TRUE(std::filesystem::create_directory(blocker));
+  {
+    ServeDaemon daemon(dcfg);
+    EXPECT_EQ(daemon.restored_entries(), 1u);
+    Client client(ClientConfig{.port = daemon.port()});
+    serve::ServeRequest second;
+    second.layout = generated_layout(311);
+    ASSERT_EQ(client.submit(second).status, serve::ServeStatus::kOk);
+    EXPECT_NO_THROW(daemon.stop());
+  }
+  const std::optional<CacheSnapshot> kept = load_cache_snapshot(path);
+  ASSERT_TRUE(kept.has_value());
+  ASSERT_EQ(kept->entries.size(), 1u);
+  EXPECT_EQ(kept->entries[0].first, saved->entries[0].first);
 }
 
 // --- daemon + client loopback ----------------------------------------------

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -134,6 +135,33 @@ TEST(Corpus, RejectsBadMagicGridMismatchTruncationAndBitRot) {
   std::ofstream(bad_magic_path, std::ios::binary) << bad_magic;
   EXPECT_THROW(read_corpus(bad_magic_path), Error);
   EXPECT_THROW(CorpusWriter(bad_magic_path, 8), Error);
+}
+
+TEST(Corpus, WriterReopensATornCorpusAfterItsLastWholeRecord) {
+  // A harvest that crashed mid-append leaves a partial third record.
+  const std::string path = temp_path("torn.bin");
+  std::remove(path.c_str());
+  {
+    CorpusWriter writer(path, 8);
+    for (int k = 0; k < 3; ++k)
+      writer.append(make_record(8, static_cast<float>(k)));
+  }
+  const std::size_t record = 5 * 8 * 8 * sizeof(float) + 8;
+  std::filesystem::resize_file(path, 12 + 2 * record + record / 2);
+  EXPECT_THROW(read_corpus(path), Error);
+
+  // The next harvest cuts the torn tail and appends after record 2.
+  {
+    CorpusWriter writer(path, 8);
+    writer.append(make_record(8, 5.0f));
+  }
+  const Corpus corpus = read_corpus(path);
+  ASSERT_EQ(corpus.records.size(), 3u);
+  EXPECT_EQ(corpus.records[0].target, make_record(8, 0.0f).target);
+  EXPECT_EQ(corpus.records[1].mask2, make_record(8, 1.0f).mask2);
+  EXPECT_EQ(corpus.records[2].target, make_record(8, 5.0f).target);
+  EXPECT_EQ(corpus.records[2].mask2, make_record(8, 5.0f).mask2);
+  EXPECT_EQ(corpus_record_count(path), 3u);
 }
 
 TEST(MaskNetModel, ShapesAndEvalDeterminism) {
