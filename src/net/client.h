@@ -77,9 +77,6 @@ class Client {
 
   int port() const { return config_.port; }
 
-  /// Drops the connection; the next call reconnects.
-  void disconnect() { sock_.close(); }
-
  private:
   /// One request/response exchange; throws FlowException(kNet) on any
   /// transport fault (and drops the connection so the next try is clean).

@@ -1,12 +1,14 @@
 // The serve daemon: a TCP front end that drains wire-protocol frames into
 // an in-process serve::Server.
 //
-// Threading: one accept loop (poll-gated, admin-listener pattern) plus one
-// thread per connection. A connection handles its frames serially —
-// concurrency comes from multiple connections, and the server's inference
-// batcher still coalesces scoring work across all of them. All threads are
-// joined on stop(), so a daemon is TSan-clean to construct and destroy in
-// a test.
+// Threading: the daemon runs on a ConnectionServer (net/socket.h) with
+// the shared frame loop (net/frame.h), one thread per open connection; the
+// daemon itself holds only the per-message handlers. A connection handles
+// its frames serially — concurrency comes from multiple connections, and
+// the server's inference batcher still coalesces scoring work across all
+// of them. A closed connection's thread is joined within one poll tick,
+// and stop() joins the rest, so a daemon is TSan-clean to construct and
+// destroy in a test.
 //
 // A daemon keeps one serve::Server for its whole life. A weight hot-swap
 // (kSwapWeights) decodes the pushed blobs in memory and installs them with
@@ -32,10 +34,11 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "net/frame.h"
 #include "net/socket.h"
 #include "serve/server.h"
 #include "warmstart/masknet.h"
@@ -70,7 +73,7 @@ class ServeDaemon {
   ServeDaemon(const ServeDaemon&) = delete;
   ServeDaemon& operator=(const ServeDaemon&) = delete;
 
-  int port() const { return listener_.port(); }
+  int port() const { return connections_.port(); }
 
   /// The daemon's server; the same object for the daemon's whole life.
   std::shared_ptr<serve::Server> server() const { return server_; }
@@ -101,32 +104,25 @@ class ServeDaemon {
   void stop();
 
  private:
-  void accept_loop();
-  void handle_connection(Socket sock, const std::string& peer);
-  /// One frame in, one frame out. Returns false when the connection should
-  /// close: a clean EOF or a transport fault. A payload that does not
-  /// decode gets a kError answer, and the connection stays open.
-  bool handle_frame(int fd, const std::string& peer);
-  void handle_submit(int fd, const std::string& peer,
-                     const std::vector<std::uint8_t>& payload);
-  void handle_stats(int fd, const std::string& peer);
-  void handle_swap(int fd, const std::string& peer,
-                   const std::vector<std::uint8_t>& payload);
+  /// Restores the result cache from config.snapshot_path when the
+  /// snapshot loads and matches; returns the entries restored.
+  std::size_t restore_snapshot();
+  /// The worker's frame handler: one request frame in, its reply out.
+  std::optional<Frame> handle_frame(const Frame& request,
+                                    const std::string& peer);
+  Frame handle_submit(const Frame& request, const std::string& peer);
+  Frame handle_stats();
+  Frame handle_swap(const Frame& request, const std::string& peer);
 
   DaemonConfig config_;
   const std::shared_ptr<serve::Server> server_;
-  std::size_t restored_entries_ = 0;
+  const std::size_t restored_entries_;
   /// Held by swap_weights from choosing a version to recording it, so two
   /// concurrent pushes cannot both claim "cnn@v<n+1>".
   std::mutex version_mu_;
   std::atomic<std::uint64_t> weights_version_{0};
-
-  TcpListener listener_;
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-  std::mutex conn_mu_;
-  std::vector<std::thread> connections_;
-  bool stopped_ = false;
+  /// Last: it serves connections as soon as it is constructed.
+  ConnectionServer connections_;
 };
 
 }  // namespace ldmo::net

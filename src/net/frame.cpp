@@ -7,6 +7,7 @@
 
 #include "common/failpoint.h"
 #include "common/hash.h"
+#include "common/log.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
 
@@ -176,16 +177,80 @@ std::optional<Frame> read_frame(int fd, const std::string& peer) {
   return frame;
 }
 
-void send_error_frame(int fd, const std::string& peer, int stage,
-                      const std::string& message) {
+Frame error_frame(int stage, const std::string& message) {
   WireWriter w;
   w.u8(static_cast<std::uint8_t>(stage));
   w.str(message);
+  return make_frame(MessageType::kError, w.take());
+}
+
+void send_error_frame(int fd, const std::string& peer, int stage,
+                      const std::string& message) {
   try {
-    write_frame(fd, MessageType::kError, w.bytes(), peer);
+    write_frame(fd, error_frame(stage, message), peer);
   } catch (const FlowException&) {
     // Connection already dead; caller closes it.
   }
+}
+
+namespace {
+
+constexpr double kFrameTimeout = 30.0;  ///< mid-frame stall guard
+
+/// One frame in, at most one frame out. Returns false when the connection
+/// should close: a clean EOF or a transport fault.
+bool serve_frame(int fd, const std::string& peer, const std::string& component,
+                 const std::string& role, const FrameHandler& handle) {
+  try {
+    const std::optional<Frame> request = read_frame(fd, peer);
+    if (!request) return false;  // orderly close
+    if (request->type == MessageType::kPing) {
+      write_frame(fd, MessageType::kPong, {}, peer);
+      return true;
+    }
+    const std::optional<Frame> reply = handle(*request, peer);
+    if (reply) {
+      write_frame(fd, *reply, peer);
+    } else {
+      send_error_frame(fd, peer, static_cast<int>(FlowStage::kNet),
+                       std::string("unexpected ") +
+                           message_type_name(request->type) + " frame on a " +
+                           role + " connection");
+    }
+    return true;
+  } catch (const DecodeError& e) {
+    send_error_frame(fd, peer, static_cast<int>(FlowStage::kNet), e.what());
+    return true;
+  } catch (const FlowException& e) {
+    if (e.stage() == FlowStage::kNet) {
+      // The stream framing is out of step: drop the connection. A client's
+      // retry resubmits, and requests are idempotent, so nothing is lost.
+      log_warn(component, ": dropping ", peer, ": ", e.what());
+      return false;
+    }
+    send_error_frame(fd, peer, static_cast<int>(e.stage()), e.what());
+    return true;
+  } catch (const std::exception& e) {
+    send_error_frame(fd, peer, static_cast<int>(FlowStage::kUnknown),
+                     e.what());
+    return true;
+  }
+}
+
+}  // namespace
+
+ConnectionServer::Handler frame_loop(std::string component, std::string role,
+                                     FrameHandler handle) {
+  return [component = std::move(component), role = std::move(role),
+          handle = std::move(handle)](Socket& sock, const std::string& peer,
+                                      const std::atomic<bool>& stop) {
+    sock.set_timeout(kFrameTimeout);
+    obs::counter("net." + component + ".connections").inc();
+    while (!stop.load()) {
+      if (!wait_readable(sock.fd())) continue;  // a poll tick
+      if (!serve_frame(sock.fd(), peer, component, role, handle)) return;
+    }
+  };
 }
 
 }  // namespace ldmo::net

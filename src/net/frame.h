@@ -25,12 +25,20 @@
 // Failpoint sites: "net.frame.read" fires before reading a frame,
 // "net.frame.write" before writing one — both throw as kNet faults, which
 // to the remote side is indistinguishable from a connection cut mid-frame.
+//
+// frame_loop is the server side of a connection, written once for the
+// worker daemon and the router: it reads every frame, answers pings, hands
+// each other frame to the role's handler, writes the reply, and applies
+// the one error policy below.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "net/socket.h"
 
 namespace ldmo::net {
 
@@ -94,10 +102,35 @@ void write_frame(int fd, MessageType type,
 /// "net.frame.read" failpoint fires.
 std::optional<Frame> read_frame(int fd, const std::string& peer);
 
-/// Writes a kError frame (u8 stage + message string). Best-effort: a send
-/// failure is swallowed — the caller is about to close the connection
-/// anyway.
+/// A kError frame: u8 stage (a FlowStage) + message string.
+Frame error_frame(int stage, const std::string& message);
+
+/// Writes error_frame(stage, message). Best-effort: a send failure is
+/// swallowed — the caller is about to close the connection anyway.
 void send_error_frame(int fd, const std::string& peer, int stage,
                       const std::string& message);
+
+/// Answers one request frame (never a ping) from `peer`: returns the reply
+/// frame, or nullopt for a message type the role does not handle.
+using FrameHandler = std::function<std::optional<Frame>(
+    const Frame& request, const std::string& peer)>;
+
+/// The server side of a frame connection, as a ConnectionServer handler:
+/// it sets the 30 s frame timeout, counts net.<component>.connections,
+/// and reads frames, a poll tick at a time, until the peer closes. A ping
+/// gets a pong; any other frame goes to `handle`, whose reply it writes.
+/// The error policy:
+///   - a clean EOF closes the connection, and so does a kNet transport
+///     fault (read or write failure, bad header, checksum mismatch), which
+///     is logged under `component` ("daemon" or "router");
+///   - a DecodeError gets a kError reply naming it: the frame arrived whole
+///     and checksummed, so the stream is still in step;
+///   - another FlowException gets a kError reply with its stage, and any
+///     other exception one with stage kUnknown;
+///   - a type `handle` refuses gets "unexpected <type> frame on a <role>
+///     connection" (`role` is "worker" or "router").
+/// All but the first keep the connection open.
+ConnectionServer::Handler frame_loop(std::string component, std::string role,
+                                     FrameHandler handle);
 
 }  // namespace ldmo::net

@@ -1,9 +1,5 @@
 #include "net/router.h"
 
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-
 #include <algorithm>
 #include <optional>
 #include <utility>
@@ -18,9 +14,6 @@
 namespace ldmo::net {
 
 namespace {
-
-constexpr int kPollMillis = 100;
-constexpr double kFrameTimeout = 30.0;
 
 /// splitmix64 finalizer on top of the FNV-1a digest. FNV diffuses a byte
 /// difference upward only, so endpoints that differ in their final digits
@@ -37,14 +30,6 @@ std::uint64_t mix64(std::uint64_t x) {
   x *= 0x94d049bb133111ebull;
   x ^= x >> 31;
   return x;
-}
-
-std::string peer_of(int fd) {
-  sockaddr_in addr{};
-  socklen_t len = sizeof addr;
-  if (getpeername(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
-    return "peer";
-  return "127.0.0.1:" + std::to_string(ntohs(addr.sin_port));
 }
 
 }  // namespace
@@ -104,20 +89,28 @@ std::vector<int> HashRing::lookup_n(std::uint64_t key, int n) const {
 Router::Router(RouterConfig config)
     : config_(std::move(config)),
       ring_(config_.worker_ports, config_.ring_replicas),
-      listener_(config_.listen_port) {
-  shards_.reserve(config_.worker_ports.size());
-  for (int port : config_.worker_ports) {
-    auto shard = std::make_unique<Shard>();
-    shard->port = port;
-    const std::string prefix =
-        "net.router.shard." + std::to_string(port) + ".";
-    shard->forwarded = &obs::counter(prefix + "forwarded");
-    shard->errors = &obs::counter(prefix + "errors");
-    shards_.push_back(std::move(shard));
-  }
-  if (config_.admin.enabled)
-    admin_ = std::make_unique<serve::AdminServer>(config_.admin, "router");
-  accept_thread_ = std::thread([this] { accept_loop(); });
+      shards_([this] {
+        std::vector<std::unique_ptr<Shard>> shards;
+        for (int port : config_.worker_ports) {
+          auto shard = std::make_unique<Shard>();
+          shard->port = port;
+          const std::string prefix =
+              "net.router.shard." + std::to_string(port) + ".";
+          shard->forwarded = &obs::counter(prefix + "forwarded");
+          shard->errors = &obs::counter(prefix + "errors");
+          shards.push_back(std::move(shard));
+        }
+        return shards;
+      }()),
+      admin_(config_.admin.enabled ? std::make_unique<serve::AdminServer>(
+                                         config_.admin, "router")
+                                   : nullptr),
+      connections_(config_.listen_port,
+                   frame_loop("router", "router",
+                              [this](const Frame& request,
+                                     const std::string& peer) {
+                                return handle_frame(request, peer);
+                              })) {
   log_info("router: listening on ", endpoint_name(port()), " over ",
            shards_.size(), " worker(s)");
 }
@@ -125,90 +118,17 @@ Router::Router(RouterConfig config)
 Router::~Router() { stop(); }
 
 void Router::stop() {
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (stopped_) return;
-    stopped_ = true;
-  }
-  stopping_.store(true);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> connections;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    connections.swap(connections_);
-  }
-  for (std::thread& thread : connections) thread.join();
+  connections_.stop();
   if (admin_) admin_->stop();
 }
 
-void Router::accept_loop() {
-  while (!stopping_.load()) {
-    Socket sock = listener_.accept(stopping_);
-    if (!sock.valid()) break;
-    sock.set_timeout(kFrameTimeout);
-    const std::string peer = peer_of(sock.fd());
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (stopping_.load()) break;
-    connections_.emplace_back(
-        [this, s = std::move(sock), peer]() mutable {
-          handle_connection(std::move(s), peer);
-        });
-  }
-}
-
-void Router::handle_connection(Socket sock, const std::string& peer) {
-  obs::counter("net.router.connections").inc();
-  while (!stopping_.load()) {
-    pollfd pfd{};
-    pfd.fd = sock.fd();
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, kPollMillis);
-    if (ready <= 0) continue;
-    if (!handle_frame(sock.fd(), peer)) break;
-  }
-}
-
-bool Router::handle_frame(int fd, const std::string& peer) {
-  std::optional<Frame> frame;
-  try {
-    frame = read_frame(fd, peer);
-    if (!frame) return false;
-    switch (frame->type) {
-      case MessageType::kSubmitRequest:
-        handle_submit(fd, peer, *frame);
-        return true;
-      case MessageType::kPing:
-        write_frame(fd, MessageType::kPong, {}, peer);
-        return true;
-      case MessageType::kStats:
-        handle_stats(fd, peer);
-        return true;
-      case MessageType::kSwapWeights:
-        handle_swap(fd, peer, frame->payload);
-        return true;
-      default:
-        send_error_frame(fd, peer, static_cast<int>(FlowStage::kNet),
-                         std::string("unexpected ") +
-                             message_type_name(frame->type) +
-                             " frame on a router connection");
-        return true;
-    }
-  } catch (const DecodeError& e) {
-    // The frame arrived whole and checksummed, so the stream is in step:
-    // answer the sender's decode error and keep the connection.
-    send_error_frame(fd, peer, static_cast<int>(FlowStage::kNet), e.what());
-    return true;
-  } catch (const FlowException& e) {
-    if (e.stage() == FlowStage::kNet) {
-      log_warn("router: dropping ", peer, ": ", e.what());
-      return false;
-    }
-    send_error_frame(fd, peer, static_cast<int>(e.stage()), e.what());
-    return true;
-  } catch (const std::exception& e) {
-    send_error_frame(fd, peer, static_cast<int>(FlowStage::kUnknown),
-                     e.what());
-    return true;
+std::optional<Frame> Router::handle_frame(const Frame& request,
+                                          const std::string& peer) {
+  switch (request.type) {
+    case MessageType::kSubmitRequest: return handle_submit(request, peer);
+    case MessageType::kStats: return handle_stats();
+    case MessageType::kSwapWeights: return handle_swap(request, peer);
+    default: return std::nullopt;
   }
 }
 
@@ -248,16 +168,15 @@ std::uint64_t Router::config_fingerprint() {
   return 0;  // every worker unreachable; route on layout alone for now
 }
 
-void Router::handle_submit(int fd, const std::string& peer,
-                           const Frame& frame) {
+Frame Router::handle_submit(const Frame& request, const std::string& peer) {
   // Decoded for its route key only: the worker gets the client's bytes.
-  WireReader r(frame.payload, peer);
-  const serve::ServeRequest request = read_request(r);
+  WireReader r(request.payload, peer);
+  const serve::ServeRequest decoded = read_request(r);
   r.expect_end();
   obs::counter("net.router.requests").inc();
 
   const std::uint64_t key = HashRing::route_key(
-      config_fingerprint(), layout::fingerprint(request.layout));
+      config_fingerprint(), layout::fingerprint(decoded.layout));
   const std::vector<int> order =
       ring_.lookup_n(key, static_cast<int>(ring_.worker_count()));
 
@@ -268,11 +187,10 @@ void Router::handle_submit(int fd, const std::string& peer,
     try {
       // The reply has passed its checksum and decodes as a response; it
       // goes back unchanged, under the worker's checksum.
-      const Client::SubmitReply reply = client_for(shard).submit_frame(frame);
+      Client::SubmitReply reply = client_for(shard).submit_frame(request);
       shard.forwarded->inc();
       if (i > 0) obs::counter("net.router.failovers").inc();
-      write_frame(fd, reply.frame, peer);
-      return;
+      return std::move(reply.frame);
     } catch (const FlowException& e) {
       if (e.stage() != FlowStage::kNet) throw;  // a worker answered: real
       shard.errors->inc();
@@ -283,12 +201,12 @@ void Router::handle_submit(int fd, const std::string& peer,
     }
   }
   obs::counter("net.router.exhausted").inc();
-  send_error_frame(fd, peer, static_cast<int>(FlowStage::kNet),
-                   "router: every worker shard failed; last: " +
-                       last.message);
+  return error_frame(static_cast<int>(FlowStage::kNet),
+                     "router: every worker shard failed; last: " +
+                         last.message);
 }
 
-void Router::handle_stats(int fd, const std::string& peer) {
+Frame Router::handle_stats() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     try {
@@ -296,23 +214,21 @@ void Router::handle_stats(int fd, const std::string& peer) {
       config_fp_.store(stats.config_fingerprint);
       WireWriter w;
       write_stats(w, stats);
-      write_frame(fd, MessageType::kStatsResponse, w.bytes(), peer);
-      return;
+      return make_frame(MessageType::kStatsResponse, w.take());
     } catch (const FlowException& e) {
       if (e.stage() != FlowStage::kNet) throw;
       shard->errors->inc();
       shard->client.reset();
     }
   }
-  send_error_frame(fd, peer, static_cast<int>(FlowStage::kNet),
-                   "router: no reachable worker for stats");
+  return error_frame(static_cast<int>(FlowStage::kNet),
+                     "router: no reachable worker for stats");
 }
 
-void Router::handle_swap(int fd, const std::string& peer,
-                         const std::vector<std::uint8_t>& payload) {
+Frame Router::handle_swap(const Frame& request, const std::string& peer) {
   // Decoded once, before any shard is touched: a malformed payload is the
   // sender's decode error, not a shard fault.
-  WireReader r(payload, peer);
+  WireReader r(request.payload, peer);
   const WeightSwap swap = read_weight_swap(r);
   r.expect_end();
 
@@ -347,19 +263,15 @@ void Router::handle_swap(int fd, const std::string& peer,
     }
   }
   obs::counter("net.router.swap_broadcasts").inc();
-  if (refused_stage) {
-    send_error_frame(fd, peer, static_cast<int>(*refused_stage),
-                     "router: weight swap refused by " + refusals);
-    return;
-  }
-  if (reached == 0) {
-    send_error_frame(fd, peer, static_cast<int>(FlowStage::kNet),
-                     "router: no worker reachable for weight swap");
-    return;
-  }
+  if (refused_stage)
+    return error_frame(static_cast<int>(*refused_stage),
+                       "router: weight swap refused by " + refusals);
+  if (reached == 0)
+    return error_frame(static_cast<int>(FlowStage::kNet),
+                       "router: no worker reachable for weight swap");
   WireWriter w;
   w.u64(version);
-  write_frame(fd, MessageType::kSwapAck, w.bytes(), peer);
+  return make_frame(MessageType::kSwapAck, w.take());
 }
 
 }  // namespace ldmo::net

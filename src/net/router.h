@@ -15,8 +15,11 @@
 // worker's checksum: a routed response is hashed once here, on receipt,
 // and never encoded.
 // A reply that fails its checksum or does not decode fails over to the
-// next shard. A payload that does not decode gets a kError answer and the
-// connection stays open; only a transport fault drops it.
+// next shard. The router runs on a ConnectionServer (net/socket.h) with the
+// shared frame loop (net/frame.h), so it holds only its per-message
+// handlers, and the loop's error policy is the worker's: a payload that
+// does not decode gets a kError answer and the connection stays open; only
+// a transport fault drops it.
 //
 // The ring hashes each worker endpoint at `replicas` virtual points
 // (Fnv1a("ldmo.net.ring") over endpoint and replica index); a key routes
@@ -36,11 +39,12 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/client.h"
+#include "net/frame.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
 #include "serve/admin.h"
@@ -92,12 +96,12 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  int port() const { return listener_.port(); }
+  int port() const { return connections_.port(); }
   int admin_port() const { return admin_ ? admin_->port() : -1; }
   const HashRing& ring() const { return ring_; }
 
-  /// Stops accepting and joins every connection thread (idempotent; the
-  /// destructor calls it).
+  /// Stops accepting, joins every connection thread and stops the admin
+  /// endpoint (idempotent; the destructor calls it).
   void stop();
 
  private:
@@ -112,13 +116,12 @@ class Router {
     obs::Counter* errors = nullptr;
   };
 
-  void accept_loop();
-  void handle_connection(Socket sock, const std::string& peer);
-  bool handle_frame(int fd, const std::string& peer);
-  void handle_submit(int fd, const std::string& peer, const Frame& frame);
-  void handle_stats(int fd, const std::string& peer);
-  void handle_swap(int fd, const std::string& peer,
-                   const std::vector<std::uint8_t>& payload);
+  /// The router's frame handler: one request frame in, its reply out.
+  std::optional<Frame> handle_frame(const Frame& request,
+                                    const std::string& peer);
+  Frame handle_submit(const Frame& request, const std::string& peer);
+  Frame handle_stats();
+  Frame handle_swap(const Frame& request, const std::string& peer);
   Shard& shard_for_port(int port);
   /// The shard's connection, created on first use; caller holds shard.mu.
   Client& client_for(Shard& shard);
@@ -131,14 +134,9 @@ class Router {
   HashRing ring_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> config_fp_{0};
-
-  TcpListener listener_;
   std::unique_ptr<serve::AdminServer> admin_;
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-  std::mutex conn_mu_;
-  std::vector<std::thread> connections_;
-  bool stopped_ = false;
+  /// Last: it serves connections as soon as it is constructed.
+  ConnectionServer connections_;
 };
 
 }  // namespace ldmo::net

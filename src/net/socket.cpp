@@ -9,10 +9,13 @@
 
 #include <chrono>
 #include <cstdint>
+#include <system_error>
 #include <thread>
+#include <utility>
 
 #include "common/failpoint.h"
 #include "common/flow_error.h"
+#include "common/log.h"
 #include "obs/metrics.h"
 
 namespace ldmo::net {
@@ -20,7 +23,7 @@ namespace ldmo::net {
 namespace {
 
 constexpr int kListenBacklog = 64;
-constexpr int kPollMillis = 100;  ///< stop-flag latency of accept()
+constexpr int kPollMillis = 100;  ///< the stop-flag latency of every wait
 
 sockaddr_in loopback_addr(int port) {
   sockaddr_in addr{};
@@ -28,6 +31,14 @@ sockaddr_in loopback_addr(int port) {
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
   return addr;
+}
+
+std::string peer_of(int fd) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof addr;
+  if (getpeername(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
+    return "peer";
+  return endpoint_name(ntohs(addr.sin_port));
 }
 
 }  // namespace
@@ -55,6 +66,13 @@ void Socket::set_timeout(double seconds) {
       (seconds - static_cast<double>(tv.tv_sec)) * 1e6);
   setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
   setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
+}
+
+bool wait_readable(int fd) {
+  pollfd pfd{};
+  pfd.fd = fd;
+  pfd.events = POLLIN;
+  return ::poll(&pfd, 1, kPollMillis) > 0;  // 0: the tick ran out; -1: EINTR
 }
 
 Socket connect_loopback(int port, double timeout_seconds, int attempts,
@@ -109,22 +127,83 @@ TcpListener::TcpListener(int port) {
   port_ = static_cast<int>(ntohs(bound.sin_port));
 }
 
+Socket TcpListener::try_accept() {
+  if (!wait_readable(listen_.fd())) return Socket();
+  Socket sock(::accept(listen_.fd(), nullptr, nullptr));
+  if (!sock.valid()) return sock;
+  const int one = 1;
+  setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  return sock;
+}
+
 Socket TcpListener::accept(const std::atomic<bool>& stop) {
   while (!stop.load()) {
-    pollfd pfd{};
-    pfd.fd = listen_.fd();
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, kPollMillis);
-    if (ready <= 0) continue;  // timeout (stop-flag check) or EINTR
-    const int client = ::accept(listen_.fd(), nullptr, nullptr);
-    if (client < 0) continue;
-    Socket sock(client);
-    const int one = 1;
-    setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    obs::counter("net.listener.accepts").inc();
-    return sock;
+    Socket sock = try_accept();
+    if (sock.valid()) return sock;
   }
   return Socket();
+}
+
+ConnectionServer::ConnectionServer(int port, Handler handler)
+    : listener_(port),
+      handler_(std::move(handler)),
+      accept_thread_([this] { accept_loop(); }) {}
+
+ConnectionServer::~ConnectionServer() { stop(); }
+
+bool ConnectionServer::stop() {
+  if (stopping_.exchange(true)) return false;
+  accept_thread_.join();
+  std::list<Connection> connections;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    connections.swap(connections_);
+  }
+  for (Connection& connection : connections) connection.thread.join();
+  return true;
+}
+
+void ConnectionServer::accept_loop() {
+  while (!stopping_.load()) {
+    release_finished();
+    Socket sock = listener_.try_accept();
+    if (!sock.valid()) continue;  // a poll tick: re-check the stop flag
+    const std::string peer = peer_of(sock.fd());
+    std::lock_guard<std::mutex> lock(mu_);
+    Connection& connection = connections_.emplace_back();
+    try {
+      connection.thread = std::thread(
+          [this, &connection, s = std::move(sock), peer]() mutable {
+            try {
+              handler_(s, peer, stopping_);
+            } catch (const std::exception& e) {
+              log_warn("connection ", peer, " closed: ", e.what());
+            }
+            s.close();
+            std::lock_guard<std::mutex> done_lock(mu_);
+            connection.done = true;
+          });
+    } catch (const std::system_error& e) {
+      // Out of threads: refuse this connection (its socket closes with the
+      // lambda) and keep serving the open ones.
+      connections_.pop_back();
+      log_warn("connection ", peer, " refused: ", e.what());
+    }
+  }
+}
+
+void ConnectionServer::release_finished() {
+  // A thread that is done has let go of mu_ for good: joining it here
+  // waits only for it to exit.
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (!it->done) {
+      ++it;
+      continue;
+    }
+    it->thread.join();
+    it = connections_.erase(it);
+  }
 }
 
 std::string endpoint_name(int port) {

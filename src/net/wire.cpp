@@ -204,84 +204,6 @@ layout::Layout read_layout(WireReader& r) {
   return layout;
 }
 
-// --- config ---
-
-void write_config(WireWriter& w, const core::FlowEngineConfig& config) {
-  w.str("cf1");
-  const litho::LithoConfig& l = config.litho;
-  w.i32(l.grid_size).f64(l.pixel_nm);
-  w.f64(l.wavelength_nm).f64(l.numerical_aperture);
-  w.f64(l.sigma_inner).f64(l.sigma_outer).f64(l.defocus_nm);
-  w.i32(l.kernel_count);
-  w.f64(l.theta_z).f64(l.intensity_threshold).f64(l.calibration_feature_nm);
-  w.f64(l.epe_threshold_nm).f64(l.epe_search_range_nm);
-
-  const mpl::GenerationConfig& g = config.flow.generation;
-  w.f64(g.classify.nmin_nm).f64(g.classify.nmax_nm);
-  w.i32(g.strength_sp_vp).i32(g.strength_np);
-  w.u64(g.seed).i32(g.max_candidates);
-
-  const opc::IltConfig& i = config.flow.ilt;
-  w.f64(i.theta_m).i32(i.max_iterations);
-  w.i32(i.violation_check_interval).i32(i.violation_check_warmup);
-  w.f64(i.step_size).f64(i.step_decay).f64(i.initial_p);
-  w.f64(i.theta_m_anneal);
-  w.u32(static_cast<std::uint32_t>(i.binarize_thresholds.size()));
-  for (double t : i.binarize_thresholds) w.f64(t);
-  w.f64(i.edge_weight);
-
-  w.i32(config.flow.max_fallbacks);
-  w.u8(config.flow.degrade_on_predict_failure ? 1 : 0);
-}
-
-core::FlowEngineConfig read_config(WireReader& r) {
-  r.expect_tag("cf1");
-  core::FlowEngineConfig config;
-  litho::LithoConfig& l = config.litho;
-  l.grid_size = r.i32();
-  l.pixel_nm = r.f64();
-  l.wavelength_nm = r.f64();
-  l.numerical_aperture = r.f64();
-  l.sigma_inner = r.f64();
-  l.sigma_outer = r.f64();
-  l.defocus_nm = r.f64();
-  l.kernel_count = r.i32();
-  l.theta_z = r.f64();
-  l.intensity_threshold = r.f64();
-  l.calibration_feature_nm = r.f64();
-  l.epe_threshold_nm = r.f64();
-  l.epe_search_range_nm = r.f64();
-
-  mpl::GenerationConfig& g = config.flow.generation;
-  g.classify.nmin_nm = r.f64();
-  g.classify.nmax_nm = r.f64();
-  g.strength_sp_vp = r.i32();
-  g.strength_np = r.i32();
-  g.seed = r.u64();
-  g.max_candidates = r.i32();
-
-  opc::IltConfig& i = config.flow.ilt;
-  i.theta_m = r.f64();
-  i.max_iterations = r.i32();
-  i.violation_check_interval = r.i32();
-  i.violation_check_warmup = r.i32();
-  i.step_size = r.f64();
-  i.step_decay = r.f64();
-  i.initial_p = r.f64();
-  i.theta_m_anneal = r.f64();
-  const std::uint32_t thresholds = r.u32();
-  if (static_cast<std::size_t>(thresholds) * 8 > r.remaining())
-    r.fail("threshold count exceeds remaining payload");
-  i.binarize_thresholds.clear();
-  for (std::uint32_t t = 0; t < thresholds; ++t)
-    i.binarize_thresholds.push_back(r.f64());
-  i.edge_weight = r.f64();
-
-  config.flow.max_fallbacks = r.i32();
-  config.flow.degrade_on_predict_failure = r.u8() != 0;
-  return config;
-}
-
 // --- request ---
 
 void write_request(WireWriter& w, const serve::ServeRequest& request) {

@@ -20,7 +20,7 @@
 //   str           u32 byte length + raw bytes (no terminator)
 //   grid          i32 height, i32 width, then height*width f64 row-major
 //
-// Compound messages (layout, config, request, response, stats) each start
+// Compound messages (layout, request, response, stats) each start
 // with a short ASCII tag string so a decoder pointed at the wrong payload
 // fails loudly with attribution instead of misparsing garbage.
 //
@@ -37,7 +37,7 @@
 
 #include "common/flow_error.h"
 #include "common/grid.h"
-#include "core/flow_engine.h"
+#include "core/ldmo_flow.h"
 #include "serve/request.h"
 
 namespace ldmo::net {
@@ -130,13 +130,6 @@ class WireReader {
 /// each; pattern ids are implicit — they equal the index by construction).
 void write_layout(WireWriter& w, const layout::Layout& layout);
 layout::Layout read_layout(WireReader& r);
-
-/// Full flow-engine configuration (litho optics + LdmoConfig knobs): tag
-/// "cf1", every field that serve::config_fingerprint hashes, plus
-/// degrade_on_predict_failure. Field order is frozen by the golden test;
-/// append new fields at the end under a bumped tag.
-void write_config(WireWriter& w, const core::FlowEngineConfig& config);
-core::FlowEngineConfig read_config(WireReader& r);
 
 /// Serve request: tag "rq1", layout, priority, deadline.
 void write_request(WireWriter& w, const serve::ServeRequest& request);

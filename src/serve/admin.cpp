@@ -2,14 +2,12 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <utility>
 
 #include "common/error.h"
 #include "common/log.h"
@@ -24,8 +22,7 @@ namespace ldmo::serve {
 namespace {
 
 constexpr std::size_t kMaxRequestBytes = 8192;
-constexpr int kListenBacklog = 16;
-constexpr int kPollMillis = 100;  ///< stop-flag latency of the accept loop
+constexpr double kRequestTimeout = 2.0;  ///< a silent client's hold, in s
 
 const char* reason_phrase(int status) {
   switch (status) {
@@ -35,16 +32,6 @@ const char* reason_phrase(int status) {
     case 503: return "Service Unavailable";
   }
   return "Unknown";
-}
-
-void set_socket_timeout(int fd, double seconds) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec = static_cast<suseconds_t>((seconds - static_cast<double>(
-                                                       tv.tv_sec)) *
-                                        1e6);
-  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
 }
 
 /// Writes all of `data` (the socket has a send timeout; short writes loop).
@@ -86,96 +73,53 @@ std::string read_request_head(int fd) {
 }  // namespace
 
 AdminServer::AdminServer(const AdminConfig& config, Server& server)
-    : config_(config), server_(&server), process_name_("serve") {
-  bind_and_start();
-}
+    : AdminServer(config, &server, "serve") {}
 
 AdminServer::AdminServer(const AdminConfig& config, std::string process_name)
+    : AdminServer(config, nullptr, std::move(process_name)) {}
+
+AdminServer::AdminServer(const AdminConfig& config, Server* server,
+                         std::string process_name)
     : config_(config),
-      server_(nullptr),
-      process_name_(std::move(process_name)) {
-  bind_and_start();
-}
-
-void AdminServer::bind_and_start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  require(listen_fd_ >= 0, "AdminServer: cannot create socket");
-  const int one = 1;
-  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(config_.port));
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) != 0 ||
-      ::listen(listen_fd_, kListenBacklog) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    raise("AdminServer: cannot bind 127.0.0.1:" +
-          std::to_string(config_.port));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  port_ = static_cast<int>(ntohs(bound.sin_port));
-
-  thread_ = std::thread([this] { listen_loop(); });
-  log_info("admin: listening on http://127.0.0.1:", port_,
+      server_(server),
+      process_name_(std::move(process_name)),
+      connections_(config_.port,
+                   [this](net::Socket& sock, const std::string&,
+                          const std::atomic<bool>&) { answer(sock); }) {
+  log_info("admin: listening on http://127.0.0.1:", port(),
            " (/metrics /healthz /readyz /varz /trace /flightrecorder)");
 }
 
 AdminServer::~AdminServer() { stop(); }
 
-void AdminServer::stop() {
-  if (!thread_.joinable()) return;
-  stopping_.store(true);
-  thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
-void AdminServer::listen_loop() {
-  while (!stopping_.load()) {
-    pollfd pfd{};
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, kPollMillis);
-    if (ready <= 0) continue;  // timeout (stop-flag check) or EINTR
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) continue;
-    set_socket_timeout(client, 2.0);
-
-    const std::string head = read_request_head(client);
-    std::string method, path;
-    const std::size_t method_end = head.find(' ');
-    if (method_end != std::string::npos) {
-      const std::size_t path_end = head.find(' ', method_end + 1);
-      if (path_end != std::string::npos) {
-        method = head.substr(0, method_end);
-        path = head.substr(method_end + 1, path_end - method_end - 1);
-        const std::size_t query = path.find('?');
-        if (query != std::string::npos) path.resize(query);
-      }
+void AdminServer::answer(net::Socket& sock) const {
+  sock.set_timeout(kRequestTimeout);
+  const std::string head = read_request_head(sock.fd());
+  std::string method, path;
+  const std::size_t method_end = head.find(' ');
+  if (method_end != std::string::npos) {
+    const std::size_t path_end = head.find(' ', method_end + 1);
+    if (path_end != std::string::npos) {
+      method = head.substr(0, method_end);
+      path = head.substr(method_end + 1, path_end - method_end - 1);
+      const std::size_t query = path.find('?');
+      if (query != std::string::npos) path.resize(query);
     }
-
-    HttpResponse response;
-    if (method.empty()) {
-      response = {405, "text/plain", "malformed request\n"};
-    } else {
-      try {
-        response = handle(method, path);
-      } catch (const std::exception& e) {
-        // An endpoint must never take down the listener.
-        response = {503, "text/plain",
-                    std::string("admin endpoint error: ") + e.what() + "\n"};
-      }
-    }
-    send_all(client, serialize_response(response));
-    ::close(client);
   }
+
+  HttpResponse response;
+  if (method.empty()) {
+    response = {405, "text/plain", "malformed request\n"};
+  } else {
+    try {
+      response = handle(method, path);
+    } catch (const std::exception& e) {
+      // An endpoint must never take down the connection's thread.
+      response = {503, "text/plain",
+                  std::string("admin endpoint error: ") + e.what() + "\n"};
+    }
+  }
+  send_all(sock.fd(), serialize_response(response));
 }
 
 HttpResponse AdminServer::handle(const std::string& method,
@@ -231,36 +175,31 @@ HttpResponse AdminServer::handle(const std::string& method,
 
 HttpResponse http_get(int port, const std::string& path,
                       double timeout_seconds) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  require(fd >= 0, "http_get: cannot create socket");
-  set_socket_timeout(fd, timeout_seconds);
+  net::Socket sock(::socket(AF_INET, SOCK_STREAM, 0));
+  require(sock.valid(), "http_get: cannot create socket");
+  sock.set_timeout(timeout_seconds);
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    ::close(fd);
+  if (::connect(sock.fd(), reinterpret_cast<const sockaddr*>(&addr),
+                sizeof addr) != 0)
     raise("http_get: cannot connect to 127.0.0.1:" + std::to_string(port));
-  }
 
   const std::string request = "GET " + path +
                               " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
                               "Connection: close\r\n\r\n";
-  if (!send_all(fd, request)) {
-    ::close(fd);
-    raise("http_get: send failed");
-  }
+  if (!send_all(sock.fd(), request)) raise("http_get: send failed");
 
   std::string raw;
   char buf[4096];
   for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    const ssize_t n = ::recv(sock.fd(), buf, sizeof buf, 0);
     if (n <= 0) break;
     raw.append(buf, static_cast<std::size_t>(n));
   }
-  ::close(fd);
+  sock.close();
 
   const std::size_t head_end = raw.find("\r\n\r\n");
   require(raw.compare(0, 9, "HTTP/1.1 ") == 0 &&

@@ -1,11 +1,13 @@
-// HTTP/1.1 admin endpoint for a live Server — the repo's first networking
-// code, and the deliberate stepping stone toward the multi-node wire
-// protocol (ROADMAP item 3): a router needs health/readiness signals
-// before it can exist.
+// HTTP/1.1 admin endpoint for a live Server, and the server-less scrape
+// target of a router process.
 //
-// A single listener thread on 127.0.0.1 accepts and answers GET requests
-// serially (scrape traffic is ~1 Hz; concurrent scrapers queue in the
-// accept backlog). Endpoint catalog (DESIGN.md §12):
+// It runs on a net::ConnectionServer on 127.0.0.1 (the server the worker
+// daemon and the router use too), so each connection is answered on its
+// own thread: one GET, one response, then the connection closes. A client
+// that connects and sends nothing holds only its own thread, for at most
+// the 2 s socket timeout, and never delays another scrape. handle() is
+// const and everything it reads takes its own lock, so concurrent answers
+// are safe. Endpoint catalog (DESIGN.md §12):
 //
 //   /metrics          OpenMetrics text exposition of the registry
 //   /healthz          200 while the recent failed-request ratio is under
@@ -20,9 +22,10 @@
 // never touched (its instrumentation stays one relaxed atomic op).
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <string>
-#include <thread>
+
+#include "net/socket.h"
 
 namespace ldmo::serve {
 
@@ -52,8 +55,8 @@ struct HttpResponse {
 
 class AdminServer {
  public:
-  /// Binds and starts the listener thread; throws ldmo::Error when the
-  /// port cannot be bound. `server` must outlive the AdminServer.
+  /// Binds and starts answering; throws ldmo::Error when the port cannot be
+  /// bound. `server` must outlive the AdminServer.
   AdminServer(const AdminConfig& config, Server& server);
 
   /// Server-less admin endpoint: the registry-backed endpoints (/metrics,
@@ -69,27 +72,27 @@ class AdminServer {
   AdminServer& operator=(const AdminServer&) = delete;
 
   /// Actually-bound port (differs from config.port when that was 0).
-  int port() const { return port_; }
+  int port() const { return connections_.port(); }
 
-  /// Closes the listener and joins the thread (idempotent).
-  void stop();
+  /// Stops accepting and joins every connection thread (idempotent).
+  void stop() { connections_.stop(); }
 
-  /// Routes one request — the transport-free core of the listener, also
+  /// Routes one request — the transport-free core of the endpoint, also
   /// used directly by tests.
   HttpResponse handle(const std::string& method,
                       const std::string& path) const;
 
  private:
-  void listen_loop();
-  void bind_and_start();
+  AdminServer(const AdminConfig& config, Server* server,
+              std::string process_name);
+  /// Reads one request from `sock` and writes its response.
+  void answer(net::Socket& sock) const;
 
   const AdminConfig config_;
-  Server* server_ = nullptr;  ///< null in the server-less (router) mode
-  std::string process_name_;
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::thread thread_;
+  Server* const server_;  ///< null in the server-less (router) mode
+  const std::string process_name_;
+  /// Last: it serves connections as soon as it is constructed.
+  net::ConnectionServer connections_;
 };
 
 /// Minimal blocking HTTP GET against 127.0.0.1:`port` — scrape loops and
