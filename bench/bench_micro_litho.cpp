@@ -60,7 +60,7 @@ void BM_AerialForward(benchmark::State& state) {
 }
 BENCHMARK(BM_AerialForward)->Arg(64)->Arg(128);
 
-void BM_IltStep(benchmark::State& state) {
+void BM_IltStep(benchmark::State& state, int mask_count) {
   const int n = static_cast<int>(state.range(0));
   const litho::LithoSimulator sim(litho_config(n));
   layout::LayoutGenerator gen;
@@ -68,8 +68,8 @@ void BM_IltStep(benchmark::State& state) {
   layout::Assignment assignment(
       static_cast<std::size_t>(l.pattern_count()), 0);
   for (int i = 0; i < l.pattern_count(); ++i)
-    assignment[static_cast<std::size_t>(i)] = i % 2;
-  opc::IltEngine engine(sim);
+    assignment[static_cast<std::size_t>(i)] = i % mask_count;
+  opc::IltEngine engine(sim, {}, mask_count);
   const GridF target = layout::rasterize_target(l, n);
   opc::IltState ilt_state = engine.init_state(l, assignment);
   // One scratch across iterations — exactly how optimize() runs the loop;
@@ -79,11 +79,14 @@ void BM_IltStep(benchmark::State& state) {
   bench_alloc::PoolProbe probe;
   for (auto _ : state) {
     engine.step(ilt_state, target, scratch);
-    benchmark::DoNotOptimize(ilt_state.p1.data());
+    benchmark::DoNotOptimize(ilt_state.p.front().data());
   }
   probe.finish(state);
 }
+void BM_IltStep(benchmark::State& state) { BM_IltStep(state, 2); }
 BENCHMARK(BM_IltStep)->Arg(64)->Arg(128);
+// Triple patterning: the same step over three masks.
+BENCHMARK_CAPTURE(BM_IltStep, k3, 3)->Arg(64);
 
 void BM_EpeMeasurement(benchmark::State& state) {
   const int n = 128;

@@ -7,7 +7,7 @@
 #include "layout/io.h"
 #include "layout/layout.h"
 #include "mpl/tpl.h"
-#include "opc/mpl_ilt.h"
+#include "opc/ilt.h"
 
 int main() {
   using namespace ldmo;
@@ -37,12 +37,12 @@ int main() {
   opc::IltConfig ilt_cfg;
   ilt_cfg.max_iterations = 20;
   ilt_cfg.theta_m_anneal = 1.12;
-  opc::MplIltEngine dpl(simulator, 2, ilt_cfg);
-  opc::MplIltEngine tpl(simulator, 3, ilt_cfg);
+  const opc::IltEngine dpl(simulator, ilt_cfg, 2);
+  const opc::IltEngine tpl(simulator, ilt_cfg, 3);
 
-  const opc::MplIltResult dpl_result = dpl.optimize(l, {0, 1, 1});
+  const opc::MplIltResult dpl_result = dpl.optimize_masks(l, {0, 1, 1});
   const opc::MplIltResult tpl_result =
-      tpl.optimize(l, generated.candidates[0]);
+      tpl.optimize_masks(l, generated.candidates[0]);
 
   std::printf("\n%-22s | %8s | %10s | %8s\n", "flow", "EPE#",
               "violations", "L2");

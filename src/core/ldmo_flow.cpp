@@ -157,19 +157,19 @@ LdmoResult run_ldmo_flow(const opc::IltEngine& engine,
   // prediction that throws (model fault, warmstart.predict failpoint)
   // degrades that attempt to the paper's cold init.
   const bool want_warm = config.warm_start.enabled && warm_start != nullptr;
-  std::vector<opc::IltState> seeds;  // only p1/p2 are used
+  std::vector<std::vector<GridF>> seeds;  // one P field per mask
   std::vector<char> seeded(static_cast<std::size_t>(attempts), 0);
   if (want_warm) {
     static obs::Counter& predictions_counter =
         obs::counter("warmstart.predictions");
     static obs::Counter& predict_error_counter =
         obs::counter("warmstart.predict_errors");
-    seeds.resize(static_cast<std::size_t>(attempts));
+    seeds.assign(static_cast<std::size_t>(attempts), std::vector<GridF>(2));
     for (int attempt = 0; attempt < attempts; ++attempt) {
       const std::size_t rank = static_cast<std::size_t>(attempt);
       try {
         warm_start->seed(layout, generated.candidates[order[rank]],
-                         seeds[rank].p1, seeds[rank].p2);
+                         seeds[rank][0], seeds[rank][1]);
         predictions_counter.inc();
         seeded[rank] = 1;
       } catch (const std::exception& e) {
@@ -210,7 +210,7 @@ LdmoResult run_ldmo_flow(const opc::IltEngine& engine,
           opc::IltResult ilt =
               seeded[rank]
                   ? engine.optimize_seeded(
-                        layout, candidate, seeds[rank].p1, seeds[rank].p2,
+                        layout, candidate, seeds[rank],
                         config.warm_start.max_iterations,
                         /*abort_on_violation=*/!last_attempt,
                         /*record_trajectory=*/false, cancels[rank].token())

@@ -74,20 +74,6 @@ void combine_exposures_n_into(const std::vector<GridF>& responses,
   kt.clamp_max_f64(out.data(), out.size(), 1.0);
 }
 
-GridF combine_gradient_mask(const GridF& t1, const GridF& t2) {
-  GridF mask;
-  combine_gradient_mask_into(t1, t2, mask);
-  return mask;
-}
-
-void combine_gradient_mask_into(const GridF& t1, const GridF& t2,
-                                GridF& out) {
-  require(t1.same_shape(t2), "combine_gradient_mask: shape mismatch");
-  out.resize(t1.height(), t1.width());
-  kernels::table().gate_lt1_f64(t1.data(), t2.data(), out.data(),
-                                out.size());
-}
-
 GridU8 binarize(const GridF& response, double threshold) {
   GridU8 b(response.height(), response.width());
   for (std::size_t i = 0; i < response.size(); ++i)

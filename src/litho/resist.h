@@ -39,11 +39,6 @@ void combine_exposures_into(const GridF& t1, const GridF& t2, GridF& out);
 GridF combine_exposures_n(const std::vector<GridF>& responses);
 void combine_exposures_n_into(const std::vector<GridF>& responses, GridF& out);
 
-/// Gradient mask of the min(): 1 where t1 + t2 < 1, else 0. Multiplying
-/// dL/dT by this gives dL/dT_i.
-GridF combine_gradient_mask(const GridF& t1, const GridF& t2);
-void combine_gradient_mask_into(const GridF& t1, const GridF& t2, GridF& out);
-
 /// Binary print: response thresholded at 0.5 (equivalently I at I_th).
 GridU8 binarize(const GridF& response, double threshold = 0.5);
 

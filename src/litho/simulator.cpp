@@ -7,7 +7,6 @@
 #include "layout/raster.h"
 #include "litho/resist.h"
 #include "obs/metrics.h"
-#include "runtime/parallel_for.h"
 #include "runtime/workspace.h"
 
 namespace ldmo::litho {
@@ -78,12 +77,9 @@ void LithoSimulator::print_masks_into(const std::vector<GridF>& masks,
   require(!masks.empty(), "print_masks: no masks");
   static obs::Counter& print_counter = obs::counter("litho.prints");
   print_counter.inc();
-  // Exposures of different masks are independent simulations; indexed
-  // slots keep the combine order identical to the serial loop.
   responses.resize(masks.size());
-  runtime::parallel_for(masks.size(), [&](std::size_t m) {
+  for (std::size_t m = 0; m < masks.size(); ++m)
     expose_into(masks[m], responses[m]);
-  });
   combine_exposures_n_into(responses, out);
 }
 

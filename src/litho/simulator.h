@@ -68,7 +68,9 @@ class LithoSimulator {
   /// Out-param variant over caller scratch: `responses` is resized to
   /// masks.size() and holds the per-exposure resist responses after
   /// return; `out` gets the combined print. Reusing both across calls
-  /// makes the k-mask print allocation-free at steady state.
+  /// makes the k-mask print allocation-free at steady state. The masks
+  /// are exposed one after another; at k = 2 the print has the same bits
+  /// as print_into().
   void print_masks_into(const std::vector<GridF>& masks,
                         std::vector<GridF>& responses, GridF& out) const;
 

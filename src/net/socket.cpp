@@ -136,14 +136,6 @@ Socket TcpListener::try_accept() {
   return sock;
 }
 
-Socket TcpListener::accept(const std::atomic<bool>& stop) {
-  while (!stop.load()) {
-    Socket sock = try_accept();
-    if (sock.valid()) return sock;
-  }
-  return Socket();
-}
-
 ConnectionServer::ConnectionServer(int port, Handler handler)
     : listener_(port),
       handler_(std::move(handler)),

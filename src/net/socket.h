@@ -70,10 +70,6 @@ class TcpListener {
   /// Socket otherwise.
   Socket try_accept();
 
-  /// Accepts one connection, a tick at a time, so `stop` is honored
-  /// promptly. Returns an invalid Socket once `stop` is set.
-  Socket accept(const std::atomic<bool>& stop);
-
  private:
   Socket listen_;
   int port_ = 0;

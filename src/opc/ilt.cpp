@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.h"
 #include "common/failpoint.h"
@@ -14,8 +15,10 @@
 
 namespace ldmo::opc {
 
-IltEngine::IltEngine(const litho::LithoSimulator& simulator, IltConfig config)
-    : simulator_(simulator), config_(config) {
+IltEngine::IltEngine(const litho::LithoSimulator& simulator, IltConfig config,
+                     int mask_count)
+    : simulator_(simulator), config_(config), mask_count_(mask_count) {
+  require(mask_count_ >= 2, "IltEngine: need at least two masks");
   require(config_.theta_m > 0.0, "IltEngine: theta_m must be positive");
   require(config_.max_iterations >= 1, "IltEngine: need >= 1 iteration");
   require(config_.violation_check_interval >= 1,
@@ -30,10 +33,10 @@ IltEngine::IltEngine(const litho::LithoSimulator& simulator, IltConfig config)
           "IltEngine: need at least one binarization threshold");
 }
 
-GridF IltEngine::mask_of(const GridF& p, double theta_m) const {
-  GridF m;
-  mask_of_into(p, theta_m, m);
-  return m;
+void IltEngine::require_two_masks(const char* entry) const {
+  if (mask_count_ != 2)
+    raise(std::string("IltEngine::") + entry + ": two-mask entry on a " +
+          std::to_string(mask_count_) + "-mask engine (use optimize_masks)");
 }
 
 void IltEngine::mask_of_into(const GridF& p, double theta_m,
@@ -54,19 +57,21 @@ IltState IltEngine::init_state(const layout::Layout& layout,
                                const layout::Assignment& assignment) const {
   require(static_cast<int>(assignment.size()) == layout.pattern_count(),
           "IltEngine::init_state: assignment size mismatch");
+  for (int v : assignment)
+    require(v >= 0 && v < mask_count_,
+            "IltEngine::init_state: mask id out of range");
   const int n = simulator_.grid_size();
   simulator_.transform_for(layout);  // validates clip/field agreement
 
   IltState state;
   state.current_step = config_.step_size;
   state.current_theta_m = config_.theta_m;
-  const GridF r1 = layout::rasterize_mask(layout, assignment, 0, n);
-  const GridF r2 = layout::rasterize_mask(layout, assignment, 1, n);
-  state.p1 = GridF(n, n);
-  state.p2 = GridF(n, n);
-  for (std::size_t i = 0; i < state.p1.size(); ++i) {
-    state.p1[i] = config_.initial_p * (2.0 * r1[i] - 1.0);
-    state.p2[i] = config_.initial_p * (2.0 * r2[i] - 1.0);
+  state.p.reserve(static_cast<std::size_t>(mask_count_));
+  for (int m = 0; m < mask_count_; ++m) {
+    const GridF raster = layout::rasterize_mask(layout, assignment, m, n);
+    GridF& p = state.p.emplace_back(n, n);
+    for (std::size_t i = 0; i < p.size(); ++i)
+      p[i] = config_.initial_p * (2.0 * raster[i] - 1.0);
   }
   if (config_.edge_weight > 0.0) {
     // Edge map of the target: any pixel whose 4-neighborhood spans both
@@ -88,11 +93,6 @@ IltState IltEngine::init_state(const layout::Layout& layout,
   return state;
 }
 
-GridF IltEngine::response_of(const IltState& state) const {
-  return simulator_.print(mask_of(state.p1, state.current_theta_m),
-                          mask_of(state.p2, state.current_theta_m));
-}
-
 void IltEngine::step(IltState& state, const GridF& target) const {
   IltScratch scratch;
   step(state, target, scratch);
@@ -103,17 +103,24 @@ void IltEngine::step(IltState& state, const GridF& target,
   const litho::LithoConfig& litho_cfg = simulator_.config();
   const litho::AerialSimulator& aerial = simulator_.aerial();
   const kernels::KernelTable& kt = kernels::table();
+  const std::size_t k = state.p.size();
+  require(k == static_cast<std::size_t>(mask_count_),
+          "IltEngine::step: state mask count does not match the engine");
 
-  // Forward pass, retaining per-kernel fields for the adjoint. Every
-  // intermediate lands in caller scratch — at steady state (shapes warm
-  // after the first iteration) nothing below allocates.
-  mask_of_into(state.p1, state.current_theta_m, s.m1);
-  mask_of_into(state.p2, state.current_theta_m, s.m2);
-  aerial.intensity_with_fields(s.m1, s.f1);
-  aerial.intensity_with_fields(s.m2, s.f2);
-  litho::resist_response_into(s.f1.intensity, litho_cfg, s.t1);
-  litho::resist_response_into(s.f2.intensity, litho_cfg, s.t2);
-  litho::combine_exposures_into(s.t1, s.t2, s.t);
+  // Forward pass, one mask after another, retaining per-kernel fields for
+  // the adjoint. Every intermediate lands in caller scratch — at steady
+  // state (shapes warm after the first iteration) nothing below allocates.
+  s.masks.resize(k);
+  s.fields.resize(k);
+  s.responses.resize(k);
+  s.grads.resize(k);
+  for (std::size_t m = 0; m < k; ++m) {
+    mask_of_into(state.p[m], state.current_theta_m, s.masks[m]);
+    aerial.intensity_with_fields(s.masks[m], s.fields[m]);
+    litho::resist_response_into(s.fields[m].intensity, litho_cfg,
+                                s.responses[m]);
+  }
+  litho::combine_exposures_n_into(s.responses, s.t);
 
   // Loss and dL/dT = 2 w (T - T') with optional per-pixel edge weights.
   const bool weighted = !state.loss_weights.empty();
@@ -123,36 +130,35 @@ void IltEngine::step(IltState& state, const GridF& target,
       weighted ? state.loss_weights.data() : nullptr, s.dldt.data(),
       s.t.size());
 
-  // Through the min(): gradient flows only where T1 + T2 < 1.
-  litho::combine_gradient_mask_into(s.t1, s.t2, s.gate);
-  // Through the resist sigmoid: dT_i/dI_i = theta_z T_i (1 - T_i).
-  litho::resist_derivative_into(s.t1, litho_cfg, s.dt1);
-  litho::resist_derivative_into(s.t2, litho_cfg, s.dt2);
-  s.dldi1.resize(s.t.height(), s.t.width());
-  s.dldi2.resize(s.t.height(), s.t.width());
-  for (std::size_t i = 0; i < s.t.size(); ++i) {
-    const double upstream = s.dldt[i] * s.gate[i];
-    s.dldi1[i] = upstream * s.dt1[i];
-    s.dldi2[i] = upstream * s.dt2[i];
+  // Through the min(): gradient flows only where sum_m T_m < 1, which is
+  // exactly where the combined print T = min(sum_m T_m, 1) is below 1.
+  for (std::size_t i = 0; i < s.t.size(); ++i)
+    s.dldt[i] *= s.t[i] < 1.0 ? 1.0 : 0.0;
+
+  // Per mask: through the resist sigmoid (dT_m/dI_m = theta_z T_m (1 -
+  // T_m)), the optics (adjoint convolution) and the mask sigmoid.
+  double g_max = 0.0;
+  s.dldi.resize(s.t.height(), s.t.width());
+  for (std::size_t m = 0; m < k; ++m) {
+    litho::resist_derivative_into(s.responses[m], litho_cfg, s.dt);
+    for (std::size_t i = 0; i < s.t.size(); ++i)
+      s.dldi[i] = s.dldt[i] * s.dt[i];
+    aerial.backpropagate(s.dldi, s.fields[m], s.grads[m]);
+    kt.sigmoid_chain_f64(s.grads[m].data(), s.masks[m].data(),
+                         state.current_theta_m, s.grads[m].size());
+    const double g = kt.max_abs_f64(s.grads[m].data(), s.grads[m].size());
+    g_max = m == 0 ? g : std::max(g_max, g);
   }
 
-  // Through the optics (adjoint convolution), then the mask sigmoid.
-  aerial.backpropagate(s.dldi1, s.f1, s.g1);
-  aerial.backpropagate(s.dldi2, s.f2, s.g2);
-  kt.sigmoid_chain_f64(s.g1.data(), s.m1.data(), state.current_theta_m,
-                       s.g1.size());
-  kt.sigmoid_chain_f64(s.g2.data(), s.m2.data(), state.current_theta_m,
-                       s.g2.size());
-
-  // Max-normalized descent: the largest parameter moves exactly
-  // current_step, which keeps the update scale-free w.r.t. the loss
-  // magnitude and decays geometrically for convergence.
-  const double g_max = std::max(kt.max_abs_f64(s.g1.data(), s.g1.size()),
-                                kt.max_abs_f64(s.g2.data(), s.g2.size()));
+  // Max-normalized descent, jointly over all masks so their relative
+  // scaling is kept: the largest parameter moves exactly current_step,
+  // which keeps the update scale-free w.r.t. the loss magnitude and decays
+  // geometrically for convergence.
   if (g_max > 1e-300) {
     const double scale = state.current_step / g_max;
-    kt.descend_f64(state.p1.data(), s.g1.data(), scale, state.p1.size());
-    kt.descend_f64(state.p2.data(), s.g2.data(), scale, state.p2.size());
+    for (std::size_t m = 0; m < k; ++m)
+      kt.descend_f64(state.p[m].data(), s.grads[m].data(), scale,
+                     state.p[m].size());
   }
   state.current_step *= config_.step_decay;
   state.current_theta_m *= config_.theta_m_anneal;
@@ -161,45 +167,78 @@ void IltEngine::step(IltState& state, const GridF& target,
 
 litho::PrintabilityReport IltEngine::evaluate(
     const IltState& state, const layout::Layout& layout) const {
-  const GridF response = simulator_.print(binarize_parameters(state.p1),
-                                          binarize_parameters(state.p2));
-  return simulator_.evaluate(response, layout);
+  std::vector<GridF> masks;
+  masks.reserve(state.p.size());
+  for (const GridF& p : state.p) masks.push_back(binarize_parameters(p));
+  return simulator_.evaluate(simulator_.print_masks(masks), layout);
 }
+
+namespace {
+
+// The two-mask view of a k = 2 run: masks 0 and 1 move into mask1/mask2.
+IltResult two_mask_result(MplIltResult&& r) {
+  IltResult out;
+  if (r.masks.size() == 2) {
+    out.mask1 = std::move(r.masks[0]);
+    out.mask2 = std::move(r.masks[1]);
+  }
+  out.response = std::move(r.response);
+  out.report = std::move(r.report);
+  out.trajectory = std::move(r.trajectory);
+  out.iterations_run = r.iterations_run;
+  out.aborted_on_violation = r.aborted_on_violation;
+  out.cancelled = r.cancelled;
+  return out;
+}
+
+}  // namespace
 
 IltResult IltEngine::optimize(const layout::Layout& layout,
                               const layout::Assignment& assignment,
                               bool abort_on_violation,
                               bool record_trajectory,
                               runtime::CancellationToken token) const {
-  return optimize_impl(layout, assignment, nullptr, nullptr,
-                       config_.max_iterations, abort_on_violation,
-                       record_trajectory, token);
+  require_two_masks("optimize");
+  return two_mask_result(run(layout, assignment, nullptr,
+                             config_.max_iterations, abort_on_violation,
+                             record_trajectory, token));
 }
 
 IltResult IltEngine::optimize_seeded(const layout::Layout& layout,
                                      const layout::Assignment& assignment,
-                                     const GridF& seed_p1,
-                                     const GridF& seed_p2, int max_iterations,
+                                     const std::vector<GridF>& seeds,
+                                     int max_iterations,
                                      bool abort_on_violation,
                                      bool record_trajectory,
                                      runtime::CancellationToken token) const {
+  require_two_masks("optimize_seeded");
   const int n = simulator_.grid_size();
-  require(seed_p1.height() == n && seed_p1.width() == n &&
-              seed_p2.height() == n && seed_p2.width() == n,
-          "IltEngine::optimize_seeded: seed grid does not match simulator");
+  require(seeds.size() == static_cast<std::size_t>(mask_count_),
+          "IltEngine::optimize_seeded: need one seed per mask");
+  for (const GridF& seed : seeds)
+    require(seed.height() == n && seed.width() == n,
+            "IltEngine::optimize_seeded: seed grid does not match simulator");
   require(max_iterations >= 1,
           "IltEngine::optimize_seeded: need >= 1 iteration");
-  return optimize_impl(layout, assignment, &seed_p1, &seed_p2, max_iterations,
-                       abort_on_violation, record_trajectory, token);
+  return two_mask_result(run(layout, assignment, &seeds, max_iterations,
+                             abort_on_violation, record_trajectory, token));
 }
 
-IltResult IltEngine::optimize_impl(const layout::Layout& layout,
-                                   const layout::Assignment& assignment,
-                                   const GridF* seed_p1, const GridF* seed_p2,
-                                   int max_iterations,
-                                   bool abort_on_violation,
-                                   bool record_trajectory,
-                                   runtime::CancellationToken token) const {
+MplIltResult IltEngine::optimize_masks(const layout::Layout& layout,
+                                       const layout::Assignment& assignment,
+                                       bool abort_on_violation,
+                                       bool record_trajectory,
+                                       runtime::CancellationToken token) const {
+  return run(layout, assignment, nullptr, config_.max_iterations,
+             abort_on_violation, record_trajectory, token);
+}
+
+MplIltResult IltEngine::run(const layout::Layout& layout,
+                            const layout::Assignment& assignment,
+                            const std::vector<GridF>* seeds,
+                            int max_iterations, bool abort_on_violation,
+                            bool record_trajectory,
+                            runtime::CancellationToken token) const {
   static obs::Counter& runs_counter = obs::counter("ilt.runs");
   static obs::Counter& iter_counter = obs::counter("ilt.iterations");
   static obs::Counter& check_counter = obs::counter("ilt.violation_checks");
@@ -216,29 +255,29 @@ IltResult IltEngine::optimize_impl(const layout::Layout& layout,
   const GridF target =
       layout::rasterize_target(layout, simulator_.grid_size());
   IltState state = init_state(layout, assignment);
-  if (seed_p1 != nullptr) {
+  if (seeds != nullptr) {
     // Warm start: keep init_state's schedule/loss-weight setup but replace
     // the +/- initial_p fields with the learned prediction.
     static obs::Counter& seeded_counter = obs::counter("ilt.seeded_runs");
     seeded_counter.inc();
-    state.p1 = *seed_p1;
-    state.p2 = *seed_p2;
+    state.p = *seeds;
     span.attr("seeded", 1.0);
   }
 
-  IltResult result;
+  MplIltResult result;
+  // Winds down without finalizing: the caller is discarding this run.
+  const auto cancelled = [&] {
+    result.cancelled = true;
+    cancel_counter.inc();
+    span.attr("cancelled", 1.0);
+    span.attr("cancel_iteration", state.iteration);
+    return std::move(result);
+  };
   // One scratch for the whole run: iteration 1 warms every shape, the
   // remaining ~50 iterations run allocation-free through the pooled paths.
   IltScratch scratch;
   for (int iter = 0; iter < max_iterations; ++iter) {
-    if (token.cancelled()) {
-      // Wind down without finalizing: the caller is discarding this run.
-      result.cancelled = true;
-      cancel_counter.inc();
-      span.attr("cancelled", 1.0);
-      span.attr("cancel_iteration", state.iteration);
-      return result;
-    }
+    if (token.cancelled()) return cancelled();
     step(state, target, scratch);
     iter_counter.inc();
 
@@ -248,11 +287,12 @@ IltResult IltEngine::optimize_impl(const layout::Layout& layout,
         iter + 1 == max_iterations;
     litho::ViolationReport violations;
     if (check_now || record_trajectory) {
-      // Same computation as response_of(state), but reusing the run's
-      // scratch masks/response (step() overwrites them next iteration).
-      mask_of_into(state.p1, state.current_theta_m, scratch.m1);
-      mask_of_into(state.p2, state.current_theta_m, scratch.m2);
-      simulator_.print_into(scratch.m1, scratch.m2, scratch.response);
+      // The current continuous masks' print, through the run's scratch
+      // (step() overwrites these buffers next iteration).
+      for (std::size_t m = 0; m < state.p.size(); ++m)
+        mask_of_into(state.p[m], state.current_theta_m, scratch.masks[m]);
+      simulator_.print_masks_into(scratch.masks, scratch.responses,
+                                  scratch.response);
       const GridF& response = scratch.response;
       violations = litho::detect_print_violations(
           litho::binarize(response), layout, simulator_.transform_for(layout));
@@ -298,17 +338,11 @@ IltResult IltEngine::optimize_impl(const layout::Layout& layout,
   }
 
   // Final poll before finalization: a token that fired on the last
-  // iteration (typical for deadline tokens) skips the 5-threshold
-  // binarize/print/evaluate sweep whose result would be discarded anyway.
-  if (token.cancelled()) {
-    result.cancelled = true;
-    cancel_counter.inc();
-    span.attr("cancelled", 1.0);
-    span.attr("cancel_iteration", state.iteration);
-    return result;
-  }
+  // iteration (typical for deadline tokens) skips the threshold sweep
+  // whose result would be discarded anyway.
+  if (token.cancelled()) return cancelled();
 
-  IltResult finalized = finalize(state, layout);
+  MplIltResult finalized = sweep(state, layout);
   finalized.trajectory = std::move(result.trajectory);
   finalized.iterations_run = result.iterations_run;
   finalized.aborted_on_violation = result.aborted_on_violation;
@@ -326,15 +360,22 @@ IltResult IltEngine::optimize_impl(const layout::Layout& layout,
 
 IltResult IltEngine::finalize(const IltState& state,
                               const layout::Layout& layout) const {
+  require_two_masks("finalize");
+  return two_mask_result(sweep(state, layout));
+}
+
+MplIltResult IltEngine::sweep(const IltState& state,
+                              const layout::Layout& layout) const {
   // Final binarization: try the configured thresholds (a cheap mask-bias
-  // retarget) and keep the best-scoring manufactured mask. Each threshold
+  // retarget) and keep the best-scoring manufactured masks. Each threshold
   // is an independent print+evaluate, so they run as parallel tasks; the
   // winner is then picked serially in threshold order, which preserves the
   // serial loop's strict-less tie-breaking (first best threshold wins).
-  IltResult result;
+  MplIltResult result;
   result.iterations_run = state.iteration;
   struct Candidate {
-    GridF m1, m2, response;
+    std::vector<GridF> masks;
+    GridF response;
     litho::PrintabilityReport report;
   };
   const std::size_t count = config_.binarize_thresholds.size();
@@ -342,9 +383,10 @@ IltResult IltEngine::finalize(const IltState& state,
   runtime::parallel_for(count, [&](std::size_t t) {
     Candidate& c = candidates[t];
     const double threshold = config_.binarize_thresholds[t];
-    c.m1 = binarize_parameters(state.p1, threshold);
-    c.m2 = binarize_parameters(state.p2, threshold);
-    c.response = simulator_.print(c.m1, c.m2);
+    c.masks.reserve(state.p.size());
+    for (const GridF& p : state.p)
+      c.masks.push_back(binarize_parameters(p, threshold));
+    c.response = simulator_.print_masks(c.masks);
     c.report = simulator_.evaluate(c.response, layout);
   });
   bool first = true;
@@ -354,8 +396,7 @@ IltResult IltEngine::finalize(const IltState& state,
     if (first || score < best_score) {
       first = false;
       best_score = score;
-      result.mask1 = std::move(c.m1);
-      result.mask2 = std::move(c.m2);
+      result.masks = std::move(c.masks);
       result.response = std::move(c.response);
       result.report = std::move(c.report);
     }

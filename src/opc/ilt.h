@@ -1,10 +1,16 @@
 // Gradient-descent inverse lithography (ILT) mask optimization for double
-// patterning (Section II of the paper).
+// patterning (Section II of the paper) and, as its k-mask generalization,
+// multiple patterning.
 //
 // Masks are parameterized by unbounded fields P via M = sigmoid(theta_m * P)
 // (Eq. 1, theta_m = 8); the loss ||T - T'||^2 is differentiated through the
-// resist sigmoid (Eq. 2), the DPL combination (Eq. 3) and the Hopkins/SOCS
-// optics, and P descends the (per-iteration max-normalized) gradient.
+// resist sigmoid (Eq. 2), the exposure combination T = min(sum_m T_m, 1)
+// (Eq. 3; k = 2 is the paper's DPL) and the Hopkins/SOCS optics, and P
+// descends the (per-iteration max-normalized) gradient. One loop serves
+// every mask count: the LELE...LE wafer image is the saturated sum of all
+// exposures, so the Eq. 1-3 machinery extends directly (DESIGN.md: the
+// paper's title and references [1, 3, 4] frame the double-patterning flow
+// inside general multiple patterning).
 //
 // The engine exposes a resumable IltState so callers can run partial
 // optimizations: the paper's flow checks print violations every 3 iterations
@@ -53,10 +59,10 @@ struct IltConfig {
   double edge_weight = 0.0;
 };
 
-/// Resumable optimization state: the two parameter fields plus bookkeeping.
+/// Resumable optimization state: one parameter field per mask plus
+/// bookkeeping.
 struct IltState {
-  GridF p1;
-  GridF p2;
+  std::vector<GridF> p;
   int iteration = 0;
   double current_step = 0.0;
   double current_theta_m = 0.0;
@@ -66,20 +72,22 @@ struct IltState {
 };
 
 /// Reusable scratch for step(): every intermediate grid of one gradient
-/// iteration (masks, aerial fields, resist responses, adjoint buffers).
+/// iteration (masks, aerial fields, resist responses, adjoint buffers), one
+/// slot per mask where a mask's value must outlive the next mask's pass.
 /// optimize() owns one per run and threads it through all ~50 iterations,
 /// so after the first iteration warms the shapes, the loop performs zero
 /// heap allocations in the pooled paths. All members are plain outputs —
 /// fully overwritten each step — so a default-constructed IltScratch is
 /// always valid input.
 struct IltScratch {
-  GridF m1, m2;                    ///< Eq. 1 continuous masks
-  litho::AerialFields f1, f2;      ///< per-kernel fields for the adjoint
-  GridF t1, t2, t;                 ///< resist responses + combined print
-  GridF dldt, gate, dt1, dt2;      ///< loss/resist derivative chain
-  GridF dldi1, dldi2;              ///< dL/dI per exposure
-  GridF g1, g2;                    ///< parameter gradients
-  GridF response;                  ///< violation-check / trajectory print
+  std::vector<GridF> masks;                 ///< Eq. 1 continuous masks
+  std::vector<litho::AerialFields> fields;  ///< per-kernel fields (adjoint)
+  std::vector<GridF> responses;             ///< per-exposure resist responses
+  std::vector<GridF> grads;                 ///< parameter gradients
+  GridF t;                                  ///< combined print (Eq. 3)
+  GridF dldt;                               ///< dL/dT through the min() gate
+  GridF dt, dldi;                           ///< one mask's dT/dI and dL/dI
+  GridF response;                           ///< violation-check print
 };
 
 /// Per-iteration metrology snapshot (drives Fig. 1(b) trajectories).
@@ -105,16 +113,35 @@ struct IltResult {
   bool cancelled = false;
 };
 
-/// Double-patterning ILT engine bound to one lithography simulator.
+/// Final result of a k-mask run (optimize_masks()): IltResult with one
+/// binarized mask per exposure.
+struct MplIltResult {
+  std::vector<GridF> masks;  ///< binarized final masks (0/1)
+  GridF response;
+  litho::PrintabilityReport report;
+  std::vector<IltIterationStats> trajectory;
+  int iterations_run = 0;
+  bool aborted_on_violation = false;
+  /// True when the run was cancelled through its token (no masks).
+  bool cancelled = false;
+};
+
+/// ILT engine for `mask_count` exposures bound to one lithography
+/// simulator. Every entry runs the same loop; finalize(), optimize() and
+/// optimize_seeded() return the two-mask IltResult and need k = 2, while
+/// optimize_masks() returns all k masks.
 class IltEngine {
  public:
-  /// Keeps references; both must outlive the engine.
-  IltEngine(const litho::LithoSimulator& simulator, IltConfig config = {});
+  /// Keeps a reference to `simulator`, which must outlive the engine.
+  /// `mask_count` is k >= 2 (2 = the paper's double patterning).
+  IltEngine(const litho::LithoSimulator& simulator, IltConfig config = {},
+            int mask_count = 2);
 
   const IltConfig& config() const { return config_; }
+  int mask_count() const { return mask_count_; }
 
-  /// Initializes P fields from a decomposition: +initial_p inside a mask's
-  /// patterns, -initial_p elsewhere.
+  /// Initializes P fields from a decomposition (mask ids in [0, k)):
+  /// +initial_p inside a mask's patterns, -initial_p elsewhere.
   IltState init_state(const layout::Layout& layout,
                       const layout::Assignment& assignment) const;
 
@@ -127,16 +154,13 @@ class IltEngine {
   /// nothing. The convenience overload above is a thin wrapper over this.
   void step(IltState& state, const GridF& target, IltScratch& scratch) const;
 
-  /// Current continuous-mask response without updating (for evaluation).
-  GridF response_of(const IltState& state) const;
-
   /// Metrology of the current state using binarized masks.
   litho::PrintabilityReport evaluate(const IltState& state,
                                      const layout::Layout& layout) const;
 
   /// Final binarization of a state: tries the configured thresholds and
   /// returns the best-scoring manufactured masks with full metrology.
-  /// trajectory/iteration fields of the result reflect `state` only.
+  /// trajectory/iteration fields of the result reflect `state` only. k = 2.
   IltResult finalize(const IltState& state,
                      const layout::Layout& layout) const;
 
@@ -150,7 +174,7 @@ class IltEngine {
   /// `token`: cooperative cancellation, polled once per iteration — the
   /// speculative flow uses it to stop attempts a better-ranked candidate
   /// has already beaten. A cancelled result has `cancelled = true` and no
-  /// finalized masks.
+  /// finalized masks. k = 2.
   IltResult optimize(const layout::Layout& layout,
                      const layout::Assignment& assignment,
                      bool abort_on_violation = false,
@@ -158,38 +182,51 @@ class IltEngine {
                      runtime::CancellationToken token = {}) const;
 
   /// Warm-started optimization: identical loop, but the P fields start from
-  /// caller-provided seeds (e.g. the `warmstart` MaskNet prediction) instead
-  /// of the +/- initial_p raster, and the iteration budget can be cut below
-  /// config().max_iterations. Seeds must match the simulator grid. The
-  /// annealing/step schedules and violation-check cadence are unchanged, so
-  /// a seeded run with max_iterations == config().max_iterations and
-  /// +/-initial_p seeds is bit-identical to optimize().
+  /// caller-provided seeds, one per mask (e.g. the `warmstart` MaskNet
+  /// prediction), instead of the +/- initial_p raster, and the iteration
+  /// budget can be cut below config().max_iterations. Seeds must match the
+  /// simulator grid. The annealing/step schedules and violation-check
+  /// cadence are unchanged, so a seeded run with max_iterations ==
+  /// config().max_iterations and +/-initial_p seeds is bit-identical to
+  /// optimize(). k = 2.
   IltResult optimize_seeded(const layout::Layout& layout,
                             const layout::Assignment& assignment,
-                            const GridF& seed_p1, const GridF& seed_p2,
+                            const std::vector<GridF>& seeds,
                             int max_iterations,
                             bool abort_on_violation = false,
                             bool record_trajectory = false,
                             runtime::CancellationToken token = {}) const;
 
+  /// optimize() for any k: the same loop and threshold sweep, returning
+  /// all k masks.
+  MplIltResult optimize_masks(const layout::Layout& layout,
+                              const layout::Assignment& assignment,
+                              bool abort_on_violation = false,
+                              bool record_trajectory = false,
+                              runtime::CancellationToken token = {}) const;
+
   /// Binarizes a parameter field into a 0/1 mask grid (P >= threshold -> 1).
   GridF binarize_parameters(const GridF& p, double threshold = 0.0) const;
 
  private:
-  /// Shared loop behind optimize()/optimize_seeded(). `seed_p1/p2` null for
-  /// the paper-faithful cold init.
-  IltResult optimize_impl(const layout::Layout& layout,
-                          const layout::Assignment& assignment,
-                          const GridF* seed_p1, const GridF* seed_p2,
-                          int max_iterations, bool abort_on_violation,
-                          bool record_trajectory,
-                          runtime::CancellationToken token) const;
-  GridF mask_of(const GridF& p, double theta_m) const;  ///< Eq. 1 sigmoid
-  /// Out-param Eq. 1 sigmoid: reshapes and fully overwrites `out`.
+  /// The loop behind every optimize entry. `seeds` null for the
+  /// paper-faithful cold init.
+  MplIltResult run(const layout::Layout& layout,
+                   const layout::Assignment& assignment,
+                   const std::vector<GridF>* seeds, int max_iterations,
+                   bool abort_on_violation, bool record_trajectory,
+                   runtime::CancellationToken token) const;
+  /// The threshold sweep behind finalize() and run().
+  MplIltResult sweep(const IltState& state,
+                     const layout::Layout& layout) const;
+  /// Throws unless this is a two-mask engine (`entry` names the caller).
+  void require_two_masks(const char* entry) const;
+  /// Eq. 1 sigmoid: reshapes and fully overwrites `out`.
   void mask_of_into(const GridF& p, double theta_m, GridF& out) const;
 
   const litho::LithoSimulator& simulator_;
   IltConfig config_;
+  int mask_count_;
 };
 
 }  // namespace ldmo::opc

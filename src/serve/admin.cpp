@@ -4,8 +4,10 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -196,8 +198,21 @@ HttpResponse http_get(int port, const std::string& path,
   char buf[4096];
   for (;;) {
     const ssize_t n = ::recv(sock.fd(), buf, sizeof buf, 0);
-    if (n <= 0) break;
-    raw.append(buf, static_cast<std::size_t>(n));
+    if (n > 0) {
+      raw.append(buf, static_cast<std::size_t>(n));
+      continue;
+    }
+    // The receive timeout expired before the whole header arrived: report
+    // a timeout, not a malformed reply (a peer that closes early after a
+    // partial reply still reads as malformed below).
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK) &&
+        raw.find("\r\n\r\n") == std::string::npos) {
+      std::ostringstream message;
+      message << "http_get: timed out after " << timeout_seconds
+              << " s waiting for 127.0.0.1:" << port << path;
+      raise(message.str());
+    }
+    break;
   }
   sock.close();
 

@@ -708,9 +708,6 @@ TEST(Resist, CombineExposuresSaturatesAtOne) {
   const GridF t = combine_exposures(a, b);
   EXPECT_DOUBLE_EQ(t.at(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(t.at(0, 1), 0.5);
-  const GridF mask = combine_gradient_mask(a, b);
-  EXPECT_DOUBLE_EQ(mask.at(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(mask.at(0, 1), 1.0);
 }
 
 TEST(Resist, BinarizeThreshold) {

@@ -1564,8 +1564,8 @@ class TruncatingWorker {
  private:
   void serve() {
     while (!stop_.load()) {
-      Socket sock = listener_.accept(stop_);
-      if (!sock.valid()) return;
+      Socket sock = listener_.try_accept();
+      if (!sock.valid()) continue;  // a poll tick passed: recheck stop_
       sock.set_timeout(10.0);
       try {
         while (std::optional<Frame> frame = read_frame(sock.fd(), "stub")) {

@@ -3,7 +3,16 @@
 // the edge-weighted loss.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ios>
+#include <iterator>
+#include <vector>
+
+#include "backend_sweep.h"
 #include "common/error.h"
+#include "common/hash.h"
+#include "common/rng.h"
+#include "layout/generator.h"
 #include "layout/raster.h"
 #include "litho/resist.h"
 #include "opc/ilt.h"
@@ -56,14 +65,14 @@ TEST(IltInit, ParameterSignsFollowAssignment) {
   const layout::Layout l = contact_pair(120);
   const IltState state = engine.init_state(l, {0, 1});
   const layout::RasterTransform t{l.clip, shared_simulator().grid_size()};
-  // Center pixel of pattern 0 (mask 1): p1 positive, p2 negative.
+  // Center pixel of pattern 0 (mask 1): p[0] positive, p[1] negative.
   const int cx0 = static_cast<int>(t.to_px_x(430 + 32));
   const int cy0 = static_cast<int>(t.to_px_y(480 + 32));
-  EXPECT_GT(state.p1.at(cy0, cx0), 0.0);
-  EXPECT_LT(state.p2.at(cy0, cx0), 0.0);
+  EXPECT_GT(state.p[0].at(cy0, cx0), 0.0);
+  EXPECT_LT(state.p[1].at(cy0, cx0), 0.0);
   // Background: both negative.
-  EXPECT_LT(state.p1.at(2, 2), 0.0);
-  EXPECT_LT(state.p2.at(2, 2), 0.0);
+  EXPECT_LT(state.p[0].at(2, 2), 0.0);
+  EXPECT_LT(state.p[1].at(2, 2), 0.0);
 }
 
 TEST(IltInit, AssignmentSizeMismatchThrows) {
@@ -100,9 +109,9 @@ TEST(IltStep, ScratchOverloadIsBitIdenticalToWrapper) {
     ASSERT_EQ(pooled.last_loss, plain.last_loss) << "iteration " << i;
     EXPECT_EQ(pooled.current_step, plain.current_step);
     EXPECT_EQ(pooled.current_theta_m, plain.current_theta_m);
-    for (std::size_t j = 0; j < plain.p1.size(); ++j) {
-      ASSERT_EQ(pooled.p1[j], plain.p1[j]) << "iteration " << i;
-      ASSERT_EQ(pooled.p2[j], plain.p2[j]) << "iteration " << i;
+    for (std::size_t j = 0; j < plain.p[0].size(); ++j) {
+      ASSERT_EQ(pooled.p[0][j], plain.p[0][j]) << "iteration " << i;
+      ASSERT_EQ(pooled.p[1][j], plain.p[1][j]) << "iteration " << i;
     }
   }
 }
@@ -302,6 +311,79 @@ TEST(EdgeWeightedIlt, ConvergesOnIsolatedContact) {
   const opc::IltResult result = engine.optimize(isolated_contact(), {0});
   EXPECT_EQ(result.report.violations.total(), 0);
   EXPECT_LE(result.report.epe.violation_count, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Per-backend pins of the engine's numerics: an FNV-1a digest of each
+// run's mask bytes and score bits on two 64-px clips, with the violation
+// abort on and off, plus one warm-started run from a fixed perturbed seed.
+// The FlowEngine pins cover the generic backend only; these cover every
+// backend this file has digests for.
+
+std::uint64_t result_digest(const IltResult& r) {
+  return common::Fnv1a()
+      .bytes(r.mask1.data(), r.mask1.size() * sizeof(double))
+      .bytes(r.mask2.data(), r.mask2.size() * sizeof(double))
+      .f64(r.report.score())
+      .digest();
+}
+
+std::vector<std::uint64_t> pinned_runs(const IltEngine& engine) {
+  std::vector<std::uint64_t> digests;
+  layout::LayoutGenerator gen;
+  for (std::uint64_t seed : {3u, 9u}) {
+    const layout::Layout l = gen.generate(seed);
+    layout::Assignment a(static_cast<std::size_t>(l.pattern_count()), 0);
+    for (int i = 0; i < l.pattern_count(); ++i)
+      a[static_cast<std::size_t>(i)] = i % 2;
+    for (bool abort : {true, false})
+      digests.push_back(result_digest(engine.optimize(l, a, abort)));
+    if (seed == 9u) {
+      IltState start = engine.init_state(l, a);
+      Rng rng(11);
+      for (GridF& p : start.p)
+        for (std::size_t i = 0; i < p.size(); ++i)
+          p[i] += rng.uniform(-0.05, 0.05);
+      digests.push_back(
+          result_digest(engine.optimize_seeded(l, a, start.p, 20)));
+    }
+  }
+  return digests;
+}
+
+TEST(IltPins, OptimizeMatchesPinnedDigestsPerBackend) {
+  // Runs: seed 3 abort on (aborts at 18), seed 3 abort off, seed 9 abort
+  // on (aborts at 15), seed 9 abort off, seed 9 seeded for 20 iterations.
+  struct Pin {
+    kernels::Backend backend;
+    std::uint64_t digests[5];
+  };
+  const Pin pins[] = {
+      {kernels::Backend::kGeneric,
+       {0x46b3e8c71da30a3cull, 0x39273652751c4c5full, 0xa927c43bc94fef2dull,
+        0x8e1475ca622d9095ull, 0x634fefd67f4aca7aull}},
+      {kernels::Backend::kAvx2,
+       {0x46b3e8c71da30a3cull, 0x38086ec647f69512ull, 0xa927c43bc94fef2dull,
+        0x8e1475ca622d9095ull, 0x634fefd67f4aca7aull}},
+      {kernels::Backend::kAvx512,
+       {0x46b3e8c71da30a3cull, 0xf17268966d101e2dull, 0xa927c43bc94fef2dull,
+        0x8e1475ca622d9095ull, 0x634fefd67f4aca7aull}},
+  };
+  testutil::BackendGuard guard;
+  for (kernels::Backend b : testutil::usable_backends()) {
+    const Pin* pin = nullptr;
+    for (const Pin& candidate : pins)
+      if (candidate.backend == b) pin = &candidate;
+    if (pin == nullptr) continue;  // no digests recorded for this backend
+    kernels::select(b);
+    const IltEngine engine(shared_simulator());
+    const std::vector<std::uint64_t> got = pinned_runs(engine);
+    ASSERT_EQ(got.size(), std::size(pin->digests));
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_EQ(got[i], pin->digests[i])
+          << kernels::to_string(b) << " run " << i << " digest 0x"
+          << std::hex << got[i];
+  }
 }
 
 }  // namespace

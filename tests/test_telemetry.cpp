@@ -18,8 +18,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.h"
 #include "common/failpoint.h"
 #include "layout/generator.h"
+#include "net/socket.h"
 #include "obs/exporter.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
@@ -458,6 +460,20 @@ TEST_F(TelemetryTest, AdminHandleRoutesMethodsAndPaths) {
   EXPECT_EQ(router.handle("GET", "/healthz").status, 200);
   router.stop();
   server.shutdown();
+}
+
+TEST_F(TelemetryTest, HttpGetReportsATimeoutWhenNoReplyArrives) {
+  // A listener that never accepts: the kernel completes the connection in
+  // its backlog and takes the request, but no reply byte ever comes back.
+  net::TcpListener silent(0);
+  try {
+    (void)serve::http_get(silent.port(), "/healthz", 0.3);
+    ADD_FAILURE() << "http_get returned without a reply";
+  } catch (const Error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("timed out"), std::string::npos) << message;
+    EXPECT_NE(message.find("/healthz"), std::string::npos) << message;
+  }
 }
 
 TEST_F(TelemetryTest, HealthzFlipsDuringFaultDrillAndRecovers) {

@@ -3,14 +3,20 @@
 // TPL resolves odd conflict cycles that DPL cannot.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <set>
 
 #include "common/error.h"
+#include "common/failpoint.h"
+#include "common/flow_error.h"
 #include "graph/coloring.h"
 #include "layout/generator.h"
 #include "litho/resist.h"
 #include "mpl/tpl.h"
-#include "opc/mpl_ilt.h"
+#include "opc/ilt.h"
+#include "runtime/thread_pool.h"
 
 namespace ldmo {
 namespace {
@@ -154,11 +160,11 @@ TEST(MplIlt, TriangleUnsolvableWithTwoMasksSolvableWithThree) {
   cfg.theta_m_anneal = 1.2;
 
   // Best DPL assignment (two patterns must share a mask).
-  opc::MplIltEngine dpl(simulator(), 2, cfg);
-  const opc::MplIltResult r2 = dpl.optimize(l, {0, 1, 1});
+  opc::IltEngine dpl(simulator(), cfg, 2);
+  const opc::MplIltResult r2 = dpl.optimize_masks(l, {0, 1, 1});
   // TPL: all three separated.
-  opc::MplIltEngine tpl(simulator(), 3, cfg);
-  const opc::MplIltResult r3 = tpl.optimize(l, {0, 1, 2});
+  opc::IltEngine tpl(simulator(), cfg, 3);
+  const opc::MplIltResult r3 = tpl.optimize_masks(l, {0, 1, 2});
 
   EXPECT_LT(r3.report.score(), r2.report.score());
   EXPECT_EQ(r3.report.violations.total(), 0);
@@ -166,9 +172,18 @@ TEST(MplIlt, TriangleUnsolvableWithTwoMasksSolvableWithThree) {
             r3.report.epe.violation_count + r3.report.violations.total());
 }
 
+bool same_bytes(const GridF& a, const GridF& b) {
+  return a.height() == b.height() && a.width() == b.width() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
 TEST(MplIlt, TwoMaskEngineMatchesDedicatedDplEngine) {
-  // MplIltEngine with k = 2 must produce the same result as IltEngine
-  // (they implement the same math).
+  // optimize_masks() at k = 2 must reproduce the two-mask optimize() in
+  // every field, bit for bit: one loop and one threshold sweep serve both.
   layout::LayoutGenerator gen;
   const layout::Layout l = gen.generate(3);
   layout::Assignment a(static_cast<std::size_t>(l.pattern_count()), 0);
@@ -177,20 +192,53 @@ TEST(MplIlt, TwoMaskEngineMatchesDedicatedDplEngine) {
   opc::IltConfig cfg;
   cfg.max_iterations = 6;
   opc::IltEngine dedicated(simulator(), cfg);
-  opc::MplIltEngine generic(simulator(), 2, cfg);
-  const opc::IltResult r1 = dedicated.optimize(l, a);
-  const opc::MplIltResult r2 = generic.optimize(l, a);
-  EXPECT_DOUBLE_EQ(r1.report.l2, r2.report.l2);
-  EXPECT_EQ(r1.report.epe.violation_count, r2.report.epe.violation_count);
-  EXPECT_EQ(r1.mask1, r2.masks[0]);
-  EXPECT_EQ(r1.mask2, r2.masks[1]);
+  opc::IltEngine generic(simulator(), cfg, 2);
+  const opc::IltResult r1 = dedicated.optimize(
+      l, a, /*abort_on_violation=*/false, /*record_trajectory=*/true);
+  const opc::MplIltResult r2 = generic.optimize_masks(
+      l, a, /*abort_on_violation=*/false, /*record_trajectory=*/true);
+  ASSERT_EQ(r2.masks.size(), 2u);
+  EXPECT_TRUE(same_bytes(r1.mask1, r2.masks[0]));
+  EXPECT_TRUE(same_bytes(r1.mask2, r2.masks[1]));
+  EXPECT_TRUE(same_bytes(r1.response, r2.response));
+
+  EXPECT_TRUE(same_bits(r1.report.l2, r2.report.l2));
+  const litho::EpeReport& e1 = r1.report.epe;
+  const litho::EpeReport& e2 = r2.report.epe;
+  EXPECT_EQ(e1.violation_count, e2.violation_count);
+  EXPECT_TRUE(same_bits(e1.max_epe_nm, e2.max_epe_nm));
+  EXPECT_TRUE(same_bits(e1.mean_epe_nm, e2.mean_epe_nm));
+  ASSERT_EQ(e1.measurements.size(), e2.measurements.size());
+  for (std::size_t i = 0; i < e1.measurements.size(); ++i) {
+    EXPECT_TRUE(same_bits(e1.measurements[i].epe_nm,
+                          e2.measurements[i].epe_nm)) << "checkpoint " << i;
+    EXPECT_EQ(e1.measurements[i].violation, e2.measurements[i].violation);
+    EXPECT_EQ(e1.measurements[i].contour_found,
+              e2.measurements[i].contour_found);
+  }
+  EXPECT_EQ(r1.report.violations.missing, r2.report.violations.missing);
+  EXPECT_EQ(r1.report.violations.bridges, r2.report.violations.bridges);
+  EXPECT_EQ(r1.report.violations.extra, r2.report.violations.extra);
+
+  ASSERT_EQ(r1.trajectory.size(), r2.trajectory.size());
+  for (std::size_t i = 0; i < r1.trajectory.size(); ++i) {
+    EXPECT_EQ(r1.trajectory[i].iteration, r2.trajectory[i].iteration);
+    EXPECT_TRUE(same_bits(r1.trajectory[i].l2, r2.trajectory[i].l2));
+    EXPECT_EQ(r1.trajectory[i].epe_violations,
+              r2.trajectory[i].epe_violations);
+    EXPECT_EQ(r1.trajectory[i].print_violations,
+              r2.trajectory[i].print_violations);
+  }
+  EXPECT_EQ(r1.iterations_run, r2.iterations_run);
+  EXPECT_EQ(r1.aborted_on_violation, r2.aborted_on_violation);
+  EXPECT_EQ(r1.cancelled, r2.cancelled);
 }
 
 TEST(MplIlt, InitStateValidatesMaskRange) {
-  opc::MplIltEngine engine(simulator(), 3);
+  opc::IltEngine engine(simulator(), {}, 3);
   EXPECT_THROW(engine.init_state(conflict_triangle(), {0, 1, 3}),
                ldmo::Error);
-  EXPECT_THROW(opc::MplIltEngine(simulator(), 1), ldmo::Error);
+  EXPECT_THROW(opc::IltEngine(simulator(), {}, 1), ldmo::Error);
 }
 
 TEST(MplIlt, AbortOnViolationWorksForThreeMasks) {
@@ -198,12 +246,49 @@ TEST(MplIlt, AbortOnViolationWorksForThreeMasks) {
   opc::IltConfig cfg;
   cfg.max_iterations = 12;
   cfg.violation_check_warmup = 3;  // check early in this short schedule
-  opc::MplIltEngine engine(simulator(), 3, cfg);
+  opc::IltEngine engine(simulator(), cfg, 3);
   const opc::MplIltResult r =
-      engine.optimize(conflict_triangle(), {0, 0, 0},
-                      /*abort_on_violation=*/true);
+      engine.optimize_masks(conflict_triangle(), {0, 0, 0},
+                            /*abort_on_violation=*/true);
   EXPECT_TRUE(r.aborted_on_violation);
   EXPECT_LT(r.iterations_run, cfg.max_iterations);
+}
+
+TEST(MplIlt, ThreeMaskRunIsIdenticalAtOneAndFourThreads) {
+  // The k-mask loop is deterministic at any thread count: only the
+  // threshold sweep runs in parallel, into indexed slots.
+  opc::IltConfig cfg;
+  cfg.max_iterations = 12;
+  cfg.theta_m_anneal = 1.2;
+  const opc::IltEngine engine(simulator(), cfg, 3);
+  const int saved_threads = runtime::thread_count();
+  runtime::set_thread_count(1);
+  const opc::MplIltResult serial =
+      engine.optimize_masks(conflict_triangle(), {0, 1, 2});
+  runtime::set_thread_count(4);
+  const opc::MplIltResult parallel =
+      engine.optimize_masks(conflict_triangle(), {0, 1, 2});
+  runtime::set_thread_count(saved_threads);
+  ASSERT_EQ(serial.masks.size(), 3u);
+  ASSERT_EQ(parallel.masks.size(), 3u);
+  for (std::size_t m = 0; m < 3; ++m)
+    EXPECT_TRUE(same_bytes(serial.masks[m], parallel.masks[m])) << "mask " << m;
+  EXPECT_TRUE(same_bytes(serial.response, parallel.response));
+  EXPECT_TRUE(same_bits(serial.report.score(), parallel.report.score()));
+}
+
+TEST(MplIlt, ThreeMaskRunFiresTheIltFailpoint) {
+  // The k-mask entry shares the two-mask loop's fault injection: an armed
+  // opc.ilt.optimize throws a FlowException attributed to the ILT stage.
+  const opc::IltEngine engine(simulator(), {}, 3);
+  fail::arm("opc.ilt.optimize", fail::once());
+  try {
+    (void)engine.optimize_masks(conflict_triangle(), {0, 1, 2});
+    ADD_FAILURE() << "armed opc.ilt.optimize did not fire";
+  } catch (const FlowException& e) {
+    EXPECT_EQ(e.stage(), FlowStage::kIlt);
+  }
+  fail::disarm("opc.ilt.optimize");
 }
 
 }  // namespace
