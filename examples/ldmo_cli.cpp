@@ -1004,6 +1004,11 @@ int cmd_net_stats(int argc, char** argv) {
               stats.predictor.c_str(),
               static_cast<unsigned long long>(stats.weights_version),
               static_cast<unsigned long long>(stats.config_fingerprint));
+  if (stats.warm_start_version != 0)
+    std::printf("  warm start: masknet %016llx\n",
+                static_cast<unsigned long long>(stats.warm_start_version));
+  else
+    std::printf("  warm start: none\n");
   for (int s = 0; s < serve::kServeStatusCount; ++s)
     std::printf("  %-10s %lld\n",
                 serve::status_name(static_cast<serve::ServeStatus>(s)),

@@ -1,4 +1,4 @@
-// Stable content hashing (64-bit FNV-1a).
+// Stable content hashing: 64-bit FNV-1a, and XXH64 for integrity checks.
 //
 // The serving layer's content-addressed caches key on these digests, so the
 // contract is stronger than "a good hash function": the digest of a given
@@ -8,6 +8,13 @@
 // their exact IEEE-754 bit pattern — two doubles hash equal iff they
 // compare bit-identical, which matches the repo-wide bit-identity
 // determinism contract.
+//
+// XXH64 is the published 4-lane, 8-byte-word hash (seed 0). It reads its
+// input as little-endian words, so its digest is platform-independent too,
+// and it hashes about an order of magnitude faster than byte-serial FNV-1a.
+// It checks frame payloads in transit (net/frame.h); it is an integrity
+// check, not a MAC. FNV-1a stays wherever its digests are pinned contracts:
+// cache keys, route keys, fingerprints and the on-disk record log.
 #pragma once
 
 #include <cstddef>
@@ -50,5 +57,9 @@ std::uint64_t fnv1a(const void* data, std::size_t len);
 /// One-shot digest of a string's bytes (no length prefix; matches the
 /// classic FNV-1a reference vectors).
 std::uint64_t fnv1a(std::string_view s);
+
+/// One-shot XXH64 digest (seed 0) of a byte range; matches the reference
+/// implementation's vectors (XXH64("") = 0xEF46DB3751D8E999).
+std::uint64_t xxh64(const void* data, std::size_t len);
 
 }  // namespace ldmo::common

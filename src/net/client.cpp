@@ -30,11 +30,10 @@ Frame Client::roundtrip(const Frame& request, MessageType expected) {
       // Protocol-level refusal: decode the carried (stage, message) and
       // rethrow it as our own — the server could not even form a response.
       WireReader r(reply->payload, peer_ + " error frame");
-      const auto stage = static_cast<FlowStage>(r.u8());
-      const std::string message = r.str();
-      throw FlowException(
-          stage < FlowStage::kUnknown ? stage : FlowStage::kUnknown,
-          "remote (" + peer_ + "): " + message);
+      const FlowError error = read_error(r);
+      r.expect_end();
+      throw FlowException(error.stage,
+                          "remote (" + peer_ + "): " + error.message);
     }
     if (reply->type != expected)
       throw FlowException(FlowStage::kNet,
@@ -112,7 +111,7 @@ std::uint64_t Client::swap_weights(
       roundtrip(make_frame(MessageType::kSwapWeights, w.take()),
                 MessageType::kSwapAck);
   WireReader r(reply.payload, peer_);
-  const std::uint64_t active = r.u64();
+  const std::uint64_t active = read_swap_ack(r);
   r.expect_end();
   return active;
 }

@@ -131,6 +131,7 @@ Frame ServeDaemon::handle_stats() {
   stats.cache_misses = server_->result_cache_misses();
   stats.cache_entries = server_->result_cache_entries();
   stats.queue_depth = server_->queue_depth();
+  stats.warm_start_version = server_->warm_start_version();
 
   WireWriter w;
   write_stats(w, stats);
@@ -167,7 +168,7 @@ Frame ServeDaemon::handle_swap(const Frame& request, const std::string& peer) {
   const std::uint64_t version = swap_weights(swap.version, swap.cnn, swap.warm);
 
   WireWriter w;
-  w.u64(version);
+  write_swap_ack(w, version);
   return make_frame(MessageType::kSwapAck, w.take());
 }
 

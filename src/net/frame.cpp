@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -14,6 +15,15 @@
 namespace ldmo::net {
 
 namespace {
+
+/// read_frame's first payload buffer, and the least it grows by.
+constexpr std::size_t kPayloadStep = 1u << 20;
+
+/// The frame payload checksum, XXH64 (seed 0). Every hash of a frame
+/// payload goes through here, so nothing else names the algorithm.
+std::uint64_t frame_checksum(const std::vector<std::uint8_t>& payload) {
+  return common::xxh64(payload.data(), payload.size());
+}
 
 [[noreturn]] void frame_fail(const std::string& peer, const std::string& what,
                              std::size_t offset) {
@@ -53,7 +63,7 @@ const char* message_type_name(MessageType type) {
 }
 
 Frame make_frame(MessageType type, std::vector<std::uint8_t> payload) {
-  const std::uint64_t checksum = common::fnv1a(payload.data(), payload.size());
+  const std::uint64_t checksum = frame_checksum(payload);
   return Frame{type, std::move(payload), checksum};
 }
 
@@ -102,8 +112,7 @@ void send_frame(int fd, MessageType type,
 
 std::vector<std::uint8_t> encode_frame(
     MessageType type, const std::vector<std::uint8_t>& payload) {
-  return frame_bytes(type, payload,
-                     common::fnv1a(payload.data(), payload.size()));
+  return frame_bytes(type, payload, frame_checksum(payload));
 }
 
 void write_frame(int fd, const Frame& frame, const std::string& peer) {
@@ -113,8 +122,7 @@ void write_frame(int fd, const Frame& frame, const std::string& peer) {
 void write_frame(int fd, MessageType type,
                  const std::vector<std::uint8_t>& payload,
                  const std::string& peer) {
-  send_frame(fd, type, payload,
-             common::fnv1a(payload.data(), payload.size()), peer);
+  send_frame(fd, type, payload, frame_checksum(payload), peer);
 }
 
 std::optional<Frame> read_frame(int fd, const std::string& peer) {
@@ -153,17 +161,25 @@ std::optional<Frame> read_frame(int fd, const std::string& peer) {
 
   Frame frame;
   frame.type = static_cast<MessageType>(raw_type);
-  frame.payload.resize(payload_len);
-  const std::size_t body_got =
-      recv_exact(fd, frame.payload.data(), payload_len);
+  // The buffer grows with the bytes that arrive, not with the header's
+  // claim: a bare header cannot make the reader zero 64 MiB. A payload of
+  // up to one step (a cached response) is still one allocation and one
+  // receive loop.
+  std::size_t body_got = 0;
+  while (body_got < payload_len) {
+    const std::size_t want = std::min<std::size_t>(
+        payload_len, std::max(2 * body_got, kPayloadStep));
+    frame.payload.resize(want);
+    body_got += recv_exact(fd, frame.payload.data() + body_got,
+                           want - body_got);
+    if (body_got < want) break;  // closed early
+  }
   if (body_got < payload_len)
     frame_fail(peer,
                std::string("connection closed mid-") +
                    message_type_name(frame.type) + "-payload",
                kFrameHeaderBytes + body_got);
-  const std::uint64_t actual =
-      common::fnv1a(frame.payload.data(), frame.payload.size());
-  if (actual != checksum)
+  if (frame_checksum(frame.payload) != checksum)
     frame_fail(peer,
                std::string("payload checksum mismatch on ") +
                    message_type_name(frame.type) + " frame",
@@ -179,8 +195,7 @@ std::optional<Frame> read_frame(int fd, const std::string& peer) {
 
 Frame error_frame(int stage, const std::string& message) {
   WireWriter w;
-  w.u8(static_cast<std::uint8_t>(stage));
-  w.str(message);
+  write_error(w, stage, message);
   return make_frame(MessageType::kError, w.take());
 }
 

@@ -4,11 +4,17 @@
 //
 //   offset  size  field
 //   0       4     magic "LDMO"
-//   4       2     protocol version (u16 LE) = 1
+//   4       2     protocol version (u16 LE) = 2
 //   6       2     message type (u16 LE)
 //   8       4     payload length (u32 LE, <= 64 MiB)
-//   12      8     payload checksum (u64 LE) = fnv1a(payload bytes)
+//   12      8     payload checksum (u64 LE) = XXH64(payload bytes, seed 0)
 //   20      n     payload (a wire.h message, or raw bytes for weight blobs)
+//
+// The checksum is XXH64 (common::xxh64), which hashes 8-byte words in four
+// lanes: every hop hashes each payload once, and byte-serial FNV-1a took
+// about fifteen times as long over a 100 KB response. A peer of another
+// protocol version is refused by the version check; there is no fallback.
+// The checksum catches corruption in transit; it is not a MAC.
 //
 // The 20-byte header is decoded with the same WireReader as payloads, so a
 // corrupt header fails with peer attribution and byte offset. A clean EOF
@@ -19,8 +25,8 @@
 // A Frame keeps the checksum read_frame verified, and every write goes
 // through one path that sends a payload under a given checksum. A
 // forwarder (the router) therefore sends a verified frame on unchanged
-// without hashing its payload again; every hop still checks FNV-1a on
-// receipt.
+// without hashing its payload again; every hop still checks the XXH64
+// checksum on receipt.
 //
 // Failpoint sites: "net.frame.read" fires before reading a frame,
 // "net.frame.write" before writing one — both throw as kNet faults, which
@@ -43,7 +49,7 @@
 namespace ldmo::net {
 
 inline constexpr char kFrameMagic[4] = {'L', 'D', 'M', 'O'};
-inline constexpr std::uint16_t kProtocolVersion = 1;
+inline constexpr std::uint16_t kProtocolVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 inline constexpr std::size_t kMaxPayloadBytes = 64ull << 20;
 
@@ -64,11 +70,11 @@ enum class MessageType : std::uint16_t {
 
 const char* message_type_name(MessageType type);
 
-/// One frame: its type, payload and the payload's FNV-1a checksum.
+/// One frame: its type, payload and the payload's checksum.
 struct Frame {
   MessageType type = MessageType::kPing;
   std::vector<std::uint8_t> payload;
-  /// fnv1a(payload): verified against the header by read_frame, computed
+  /// XXH64(payload): verified against the header by read_frame, computed
   /// by make_frame.
   std::uint64_t checksum = 0;
 };
@@ -99,7 +105,9 @@ void write_frame(int fd, MessageType type,
 /// boundary (orderly peer close). Throws FlowException(kNet) — with `peer`
 /// and the byte offset reached — on mid-frame EOF, bad magic, version or
 /// type, oversized payload, or checksum mismatch; also when the
-/// "net.frame.read" failpoint fires.
+/// "net.frame.read" failpoint fires. The payload buffer grows as bytes
+/// arrive (1 MiB, then doubling), so a header's length claim alone costs
+/// at most 1 MiB.
 std::optional<Frame> read_frame(int fd, const std::string& peer);
 
 /// A kError frame: u8 stage (a FlowStage) + message string.

@@ -270,7 +270,7 @@ Frame Router::handle_swap(const Frame& request, const std::string& peer) {
     return error_frame(static_cast<int>(FlowStage::kNet),
                        "router: no worker reachable for weight swap");
   WireWriter w;
-  w.u64(version);
+  write_swap_ack(w, version);
   return make_frame(MessageType::kSwapAck, w.take());
 }
 

@@ -418,6 +418,7 @@ void write_stats(WireWriter& w, const WorkerStats& stats) {
   for (long long count : stats.status_counts) w.i64(count);
   w.i64(stats.cache_hits).i64(stats.cache_misses);
   w.u64(stats.cache_entries).u64(stats.queue_depth);
+  w.u64(stats.warm_start_version);
 }
 
 WorkerStats read_stats(WireReader& r) {
@@ -431,6 +432,7 @@ WorkerStats read_stats(WireReader& r) {
   stats.cache_misses = r.i64();
   stats.cache_entries = r.u64();
   stats.queue_depth = r.u64();
+  stats.warm_start_version = r.u64();
   return stats;
 }
 
@@ -447,6 +449,27 @@ WeightSwap read_weight_swap(WireReader& r) {
   swap.cnn = r.blob();
   if (r.remaining() > 0) swap.warm = r.blob();
   return swap;
+}
+
+// --- swap ack and error ---
+
+void write_swap_ack(WireWriter& w, std::uint64_t version) { w.u64(version); }
+
+std::uint64_t read_swap_ack(WireReader& r) { return r.u64(); }
+
+void write_error(WireWriter& w, int stage, std::string_view message) {
+  w.u8(static_cast<std::uint8_t>(stage));
+  w.str(message);
+}
+
+FlowError read_error(WireReader& r) {
+  FlowError error;
+  const std::uint8_t stage = r.u8();
+  error.stage = stage < static_cast<std::uint8_t>(FlowStage::kUnknown)
+                    ? static_cast<FlowStage>(stage)
+                    : FlowStage::kUnknown;
+  error.message = r.str();
+  return error;
 }
 
 }  // namespace ldmo::net

@@ -157,6 +157,10 @@ struct WorkerStats {
   long long cache_misses = 0;
   std::uint64_t cache_entries = 0;
   std::uint64_t queue_depth = 0;
+  /// The warm-start MaskNet's weight fingerprint
+  /// (core::MaskInitializer::version); 0 = no warm start. Last in the
+  /// payload, since protocol version 2.
+  std::uint64_t warm_start_version = 0;
 };
 
 void write_stats(WireWriter& w, const WorkerStats& stats);
@@ -173,5 +177,14 @@ struct WeightSwap {
 
 void write_weight_swap(WireWriter& w, const WeightSwap& swap);
 WeightSwap read_weight_swap(WireReader& r);
+
+/// Swap acknowledgement payload: u64 active weights version.
+void write_swap_ack(WireWriter& w, std::uint64_t version);
+std::uint64_t read_swap_ack(WireReader& r);
+
+/// Error payload: u8 stage + message string. A stage this build does not
+/// know reads as kUnknown, so a newer peer's refusal still gets through.
+void write_error(WireWriter& w, int stage, std::string_view message);
+FlowError read_error(WireReader& r);
 
 }  // namespace ldmo::net

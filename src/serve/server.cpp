@@ -254,6 +254,11 @@ std::string Server::predictor_name() const {
   return backend_->name();
 }
 
+std::uint64_t Server::warm_start_version() const {
+  std::shared_lock<std::shared_mutex> lock(backend_mu_);
+  return config_.warm_start ? config_.warm_start->version() : 0;
+}
+
 void Server::dispatcher_loop(int index) {
   core::FlowEngine& engine = *engines_[static_cast<std::size_t>(index)];
   for (;;) {

@@ -238,6 +238,9 @@ class Server {
   /// Name of the active scoring backend (what config_fingerprint() folded
   /// in — the wire stats message reports it for swap verification).
   std::string predictor_name() const;
+  /// Weight fingerprint of the active warm-start initializer (what
+  /// config_fingerprint() folded in); 0 without one. Safe during a swap.
+  std::uint64_t warm_start_version() const;
 
   /// Replays exported entries into the result cache (in order, so recency
   /// survives the round trip) and returns how many were admitted. Keys are

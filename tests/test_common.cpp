@@ -1,10 +1,13 @@
 // Unit tests for the common module: errors, RNG, timers, stats, grid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <vector>
 
 #include "common/error.h"
 #include "common/grid.h"
@@ -277,6 +280,70 @@ TEST(Hash, DoubleFeedIsBitExact) {
 TEST(Hash, SignedFeedDistinguishesNegatives) {
   EXPECT_NE(common::Fnv1a().i64(-1).digest(),
             common::Fnv1a().i64(1).digest());
+}
+
+// --- XXH64 (common/hash.h) ---
+
+/// n bytes of b[i] = (i * 131 + 7) & 0xff.
+std::vector<std::uint8_t> xxh_pattern(std::size_t n) {
+  std::vector<std::uint8_t> bytes(n);
+  for (std::size_t i = 0; i < n; ++i)
+    bytes[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  return bytes;
+}
+
+std::uint64_t xxh64_of(const std::vector<std::uint8_t>& bytes) {
+  return common::xxh64(bytes.data(), bytes.size());
+}
+
+TEST(Hash, Xxh64ReferenceVectors) {
+  // The reference implementation's digests (seed 0); zstd's frame checksum
+  // is the low 32 bits of the same hash.
+  EXPECT_EQ(common::xxh64(nullptr, 0), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(common::xxh64("abc", 3), 0x44BC2CF5AD770999ull);
+  EXPECT_EQ(xxh64_of(xxh_pattern(37)), 0x1D8C3A2215085739ull);
+  EXPECT_EQ(xxh64_of(xxh_pattern(100)), 0x9DDADA11D3DC2D8Full);
+  EXPECT_EQ(xxh64_of(xxh_pattern(100560)), 0xC50DCECACF7ADC04ull);
+}
+
+TEST(Hash, Xxh64EveryLengthUpToTwoStripesAndATail) {
+  // Lengths 0-67 of the pattern: below and above the 32-byte stripe loop,
+  // two stripes, and every 8-, 4- and 1-byte tail after each.
+  constexpr std::uint64_t kExpected[68] = {
+      0xEF46DB3751D8E999ull, 0xA96C7F0CE858BBB7ull, 0xC22C6A70AD56BBA6ull,
+      0xBED43740EE6332BBull, 0xFA212AE44B3BB23Dull, 0xD339DCC9AC8E6776ull,
+      0x71CABDC85DA7FFA0ull, 0x2744460DD675D2C0ull, 0x994B676B71CE94DDull,
+      0x572B84C18B983AF8ull, 0x08283FD40EE4F8C9ull, 0x97F078DA7A1A590Cull,
+      0xB92F588CE720786Eull, 0xDADC8A6255B4829Bull, 0x574269377227D80Aull,
+      0x09E6451ED2FF8B1Dull, 0x94AD0095E72B24D5ull, 0x1464F2EFF23B5FE1ull,
+      0x712C39F6D1ED935Eull, 0x83EF9C758393E89Dull, 0x67822FA80E0C8933ull,
+      0xFA6DE19E99FF8D43ull, 0xA8D0AE04D79885F2ull, 0xCF65B69586B05FABull,
+      0x0A3B0194F3AFE0B8ull, 0xE0FD072FFF811C86ull, 0xC4F7372A7FB8F247ull,
+      0xFEE26CAC05AEECF0ull, 0x01A6F3D224FA7D3Bull, 0x161A3BC98AFCF092ull,
+      0x3F8796D7BFAAAA08ull, 0x6711D55E306B5D8Full, 0x07F7B8E3BC5D6E25ull,
+      0x09F85EEB4E1CBE9Full, 0x35284E7F91DD1AE5ull, 0x25CC31E4544BC8C9ull,
+      0xE7AC625222F2B655ull, 0x1D8C3A2215085739ull, 0x1FB3064ED36C675Full,
+      0xB13C137A0FB701C3ull, 0xD25150177BA46490ull, 0x3AD8BB2779D9285Eull,
+      0xFE4DDAB6E3D75DDCull, 0x9D340603AA03CC62ull, 0xD02B2028C27A5329ull,
+      0xFF59426B0066066Bull, 0x713A114207F600E2ull, 0x79BD9D6DD8C15570ull,
+      0x2947DE5E3A6AFECEull, 0x43F1E784039912D3ull, 0x072FA9968401E9C7ull,
+      0xC3C4FF0D8F66E206ull, 0x0EFBC3939FA05814ull, 0x42BE842D0902D7A7ull,
+      0x8A78B907C424DC46ull, 0x8F8DC5B07F6D48EDull, 0xA2ACF5B431DB2E52ull,
+      0x403200F5D0354116ull, 0xC326A3D65678339Bull, 0xA53B8E5BC9FF65A4ull,
+      0x4CCE586D8ACA19E5ull, 0xBD3BD33486AF6DC6ull, 0x4149DD403B20A2DCull,
+      0xB7C9968C066CB6A5ull, 0x50D4159A0411632Eull, 0xD277176BFF863EFCull,
+      0x578BA93DAAAA4333ull, 0x5C44AB49F377E73Full,
+  };
+  const std::vector<std::uint8_t> bytes = xxh_pattern(68);
+  for (std::size_t n = 0; n < 68; ++n) {
+    // An odd start address too: words are loaded unaligned.
+    std::vector<std::uint8_t> shifted(n + 1);
+    std::copy(bytes.begin(), bytes.begin() + static_cast<long>(n),
+              shifted.begin() + 1);
+    EXPECT_EQ(common::xxh64(bytes.data(), n), kExpected[n]) << "length " << n;
+    EXPECT_EQ(common::xxh64(shifted.data() + 1, n), kExpected[n])
+        << "length " << n << " at an odd address";
+  }
 }
 
 TEST(Log, ParseLogLevelNamesAndFallback) {

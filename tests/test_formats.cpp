@@ -1,4 +1,4 @@
-// The four on-disk formats, pinned and fuzzed:
+// The four on-disk formats, pinned and fuzzed, and the wire fuzzed:
 //
 //   - byte pins: a small weights file, a 2-record warm-start corpus, a
 //     2-record flywheel log and a 2-entry cache snapshot, each built from
@@ -7,10 +7,18 @@
 //   - a seeded mutation sweep over exactly those files (truncations and
 //     bit flips over each header and first record): every input either
 //     loads or throws ldmo::Error (FlowException included), and a rejected
-//     weight load leaves the parameters untouched.
+//     weight load leaves the parameters untouched;
+//   - the same for the wire (WireFuzz): truncations, bit flips and inflated
+//     length fields of one valid encoding of each payload a peer decodes,
+//     fed straight to its decoder, and of a frame through read_frame on a
+//     socketpair. Every input either decodes or throws a FlowException
+//     (DecodeError included); nothing else escapes.
 //
 // The whole binary carries the "fuzz" label: ctest -L fuzz.
 #include <gtest/gtest.h>
+
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -25,7 +33,9 @@
 #include "common/record_file.h"
 #include "common/rng.h"
 #include "flywheel/log.h"
+#include "net/frame.h"
 #include "net/snapshot.h"
+#include "net/wire.h"
 #include "nn/serialize.h"
 #include "warmstart/corpus.h"
 
@@ -360,6 +370,275 @@ TEST_F(FormatFuzz, SnapshotLoadsOrThrows) {
   EXPECT_EQ(counts.failures, 0);
   EXPECT_GT(counts.total(counts.loaded), 0);
   EXPECT_EQ(counts.loaded[kTruncation], 0);
+}
+
+// --- wire payloads and frame headers ----------------------------------------
+
+/// One wire payload under the sweep: a valid encoding and the decoder its
+/// receiver runs on it.
+struct WireTarget {
+  std::string name;
+  std::vector<std::uint8_t> valid;
+  std::function<void(net::WireReader&)> decode;
+};
+
+struct WireCounts {
+  int inputs = 0;
+  int decoded = 0;
+  int failures = 0;
+};
+
+/// Runs `decode` on `bytes`, then expect_end: the input must decode or
+/// throw a FlowException (DecodeError is one).
+void check_wire(const WireTarget& target, const std::vector<std::uint8_t>& bytes,
+                const std::string& mutation, WireCounts& counts) {
+  ++counts.inputs;
+  try {
+    net::WireReader r(bytes, "fuzz");
+    target.decode(r);
+    r.expect_end();
+    ++counts.decoded;
+  } catch (const FlowException&) {
+    // rejected with a typed error: the property holds
+  } catch (const std::exception& e) {
+    if (++counts.failures <= 5)
+      ADD_FAILURE() << target.name << " " << mutation
+                    << " escaped as a non-FlowException: " << e.what();
+  }
+}
+
+/// Length values written over any 4 bytes: past the cap, past the
+/// remaining bytes, and a plausible-looking large count.
+std::vector<std::uint32_t> inflated_lengths(std::size_t remaining) {
+  return {0xFFFFFFFFu, 0x80000000u, 1u << 20,
+          static_cast<std::uint32_t>(remaining + 1)};
+}
+
+/// Every truncation, every single-bit flip, every position of an inflated
+/// u32 length, and seeded multi-bit flips.
+WireCounts sweep_wire(const WireTarget& target, std::uint64_t seed) {
+  const std::vector<std::uint8_t>& valid = target.valid;
+  WireCounts counts;
+  check_wire(target, valid, "unmutated", counts);
+  EXPECT_EQ(counts.decoded, 1) << target.name << ": the valid encoding";
+  for (std::size_t length = 0; length < valid.size(); ++length)
+    check_wire(target, {valid.begin(), valid.begin() + static_cast<long>(length)},
+               "truncated to " + std::to_string(length), counts);
+  for (std::size_t byte = 0; byte < valid.size(); ++byte)
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<std::uint8_t> bytes = valid;
+      bytes[byte] ^= static_cast<std::uint8_t>(1u << bit);
+      check_wire(target, bytes,
+                 "bit " + std::to_string(bit) + " of byte " +
+                     std::to_string(byte) + " flipped",
+                 counts);
+    }
+  for (std::size_t at = 0; at + 4 <= valid.size(); ++at)
+    for (std::uint32_t length : inflated_lengths(valid.size() - at - 4)) {
+      std::vector<std::uint8_t> bytes = valid;
+      for (int k = 0; k < 4; ++k)
+        bytes[at + static_cast<std::size_t>(k)] =
+            static_cast<std::uint8_t>(length >> (8 * k));
+      check_wire(target, bytes,
+                 "length " + std::to_string(length) + " written at byte " +
+                     std::to_string(at),
+                 counts);
+    }
+  Rng rng(seed);
+  const int last = static_cast<int>(valid.size()) - 1;
+  for (int i = 0; i < 256; ++i) {
+    std::vector<std::uint8_t> bytes = valid;
+    const int flips = rng.uniform_int(2, 4);
+    for (int k = 0; k < flips; ++k)
+      bytes[static_cast<std::size_t>(rng.uniform_int(0, last))] ^=
+          static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
+    check_wire(target, bytes, "multi-bit flip " + std::to_string(i), counts);
+  }
+  std::printf("%s: %d inputs, %d decoded, %d rejected\n", target.name.c_str(),
+              counts.inputs, counts.decoded, counts.inputs - counts.decoded);
+  return counts;
+}
+
+/// A response carrying every result field group (2x2 grids).
+serve::ServeResponse wire_response() {
+  serve::ServeResponse response;
+  response.status = serve::ServeStatus::kCached;
+  response.result = snapshot_result(0.5);
+  litho::EpeMeasurement m;
+  m.checkpoint.x_nm = 110.0;
+  m.checkpoint.pattern_id = 1;
+  m.epe_nm = 3.5;
+  m.violation = true;
+  response.result.ilt.report.epe.measurements.push_back(m);
+  response.request_id = 42;
+  response.cache_key = 0x1122334455667788ULL;
+  response.total_seconds = 0.25;
+  response.attempts = 1;
+  return response;
+}
+
+std::vector<WireTarget> wire_targets() {
+  std::vector<WireTarget> targets;
+  {
+    serve::ServeRequest request;
+    request.layout.name = "fuzz";
+    request.layout.clip = geometry::Rect::make({0, 0}, {1024, 1024});
+    request.layout.add_pattern(geometry::Rect::make({100, 200}, {160, 260}));
+    request.layout.add_pattern(geometry::Rect::make({300, 200}, {360, 260}));
+    request.deadline_seconds = 30.0;
+    net::WireWriter w;
+    net::write_request(w, request);
+    targets.push_back({"request", w.take(), [](net::WireReader& r) {
+                         (void)net::read_request(r);
+                       }});
+  }
+  {
+    net::WireWriter w;
+    net::write_response(w, wire_response());
+    targets.push_back({"response", w.take(), [](net::WireReader& r) {
+                         (void)net::read_response(r);
+                       }});
+  }
+  {
+    net::WorkerStats stats;
+    stats.config_fingerprint = 0xdeadbeefcafef00dULL;
+    stats.weights_version = 3;
+    stats.predictor = "cnn@v3";
+    stats.status_counts[0] = 10;
+    stats.cache_hits = 19;
+    stats.cache_entries = 6;
+    stats.warm_start_version = 0x0123456789ABCDEFULL;
+    net::WireWriter w;
+    net::write_stats(w, stats);
+    targets.push_back({"stats", w.take(), [](net::WireReader& r) {
+                         (void)net::read_stats(r);
+                       }});
+  }
+  {
+    net::WireWriter w;
+    net::write_weight_swap(
+        w, net::WeightSwap{5, {1, 2, 3, 4, 5, 6, 7, 8}, {9, 10, 11, 12}});
+    targets.push_back({"weight_swap", w.take(), [](net::WireReader& r) {
+                         (void)net::read_weight_swap(r);
+                       }});
+  }
+  {
+    net::WireWriter w;
+    net::write_swap_ack(w, 7);
+    targets.push_back({"swap_ack", w.take(), [](net::WireReader& r) {
+                         (void)net::read_swap_ack(r);
+                       }});
+  }
+  {
+    net::WireWriter w;
+    net::write_error(w, static_cast<int>(FlowStage::kIlt), "diverged badly");
+    targets.push_back({"error", w.take(), [](net::WireReader& r) {
+                         (void)net::read_error(r);
+                       }});
+  }
+  return targets;
+}
+
+TEST(WireFuzz, PayloadsDecodeOrThrowAFlowException) {
+  std::uint64_t seed = 11;
+  for (const WireTarget& target : wire_targets()) {
+    const WireCounts counts = sweep_wire(target, seed++);
+    EXPECT_EQ(counts.failures, 0) << target.name;
+    EXPECT_GT(counts.inputs - counts.decoded, 0) << target.name;
+  }
+}
+
+/// What read_frame makes of `bytes` followed by the sender's close: the
+/// frames it returned, or -1 when it threw a FlowException. Anything else
+/// escaping is recorded as a failure.
+int read_frames(const std::vector<std::uint8_t>& bytes,
+                const std::string& mutation, WireCounts& counts) {
+  ++counts.inputs;
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+    ADD_FAILURE() << "socketpair failed";
+    return -1;
+  }
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(fds[0], bytes.data() + sent, bytes.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  ::close(fds[0]);  // the reader sees EOF after the bytes, never a stall
+  int frames = 0;
+  try {
+    while (net::read_frame(fds[1], "fuzz")) ++frames;
+    ++counts.decoded;
+  } catch (const FlowException&) {
+    frames = -1;
+  } catch (const std::exception& e) {
+    frames = -1;
+    if (++counts.failures <= 5)
+      ADD_FAILURE() << "frame " << mutation
+                    << " escaped as a non-FlowException: " << e.what();
+  }
+  ::close(fds[1]);
+  return frames;
+}
+
+TEST(WireFuzz, FrameHeadersReadOrThrowAFlowException) {
+  const std::vector<std::uint8_t> payload = {0xDE, 0xAD, 0xBE, 0xEF, 0x01};
+  const std::vector<std::uint8_t> valid =
+      net::encode_frame(net::MessageType::kStatsResponse, payload);
+  WireCounts counts;
+  EXPECT_EQ(read_frames(valid, "unmutated", counts), 1);
+  for (std::size_t length = 0; length < valid.size(); ++length) {
+    const int frames = read_frames(
+        {valid.begin(), valid.begin() + static_cast<long>(length)},
+        "truncated to " + std::to_string(length), counts);
+    // An empty stream is a clean close; any other cut is a fault.
+    EXPECT_EQ(frames, length == 0 ? 0 : -1) << "cut at " << length;
+  }
+  for (std::size_t byte = 0; byte < valid.size(); ++byte)
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<std::uint8_t> bytes = valid;
+      bytes[byte] ^= static_cast<std::uint8_t>(1u << bit);
+      const int frames = read_frames(
+          bytes,
+          "bit " + std::to_string(bit) + " of byte " + std::to_string(byte),
+          counts);
+      // Every header field is checked and the payload is checksummed; the
+      // checksum does not cover the type, so a flip that names another
+      // message type reads as that type (its payload decoder refuses it).
+      const bool other_type =
+          byte == 6 && bytes[6] >= 1 &&
+          bytes[6] <= static_cast<std::uint8_t>(net::MessageType::kError);
+      EXPECT_EQ(frames, other_type ? 1 : -1)
+          << "bit " << bit << " of byte " << byte;
+    }
+  // The payload length (bytes 8-11), inflated up to and past the cap.
+  for (std::uint32_t length :
+       {static_cast<std::uint32_t>(payload.size() + 1), 1u << 20,
+        static_cast<std::uint32_t>(net::kMaxPayloadBytes),
+        static_cast<std::uint32_t>(net::kMaxPayloadBytes + 1), 0xFFFFFFFFu}) {
+    std::vector<std::uint8_t> bytes = valid;
+    for (int k = 0; k < 4; ++k)
+      bytes[8 + static_cast<std::size_t>(k)] =
+          static_cast<std::uint8_t>(length >> (8 * k));
+    EXPECT_EQ(read_frames(bytes, "length " + std::to_string(length), counts),
+              -1)
+        << "payload length " << length;
+  }
+  Rng rng(17);
+  for (int i = 0; i < 64; ++i) {
+    std::vector<std::uint8_t> bytes = valid;
+    const int run = rng.uniform_int(1, 4);
+    const int at = rng.uniform_int(0, static_cast<int>(net::kFrameHeaderBytes) - 1);
+    for (int k = 0; k < run && at + k < static_cast<int>(bytes.size()); ++k)
+      bytes[static_cast<std::size_t>(at + k)] =
+          static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    (void)read_frames(bytes, "header stomp " + std::to_string(i), counts);
+  }
+  std::printf("frame: %d inputs, %d read, %d rejected\n", counts.inputs,
+              counts.decoded, counts.inputs - counts.decoded);
+  EXPECT_EQ(counts.failures, 0);
 }
 
 }  // namespace

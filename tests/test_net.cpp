@@ -8,7 +8,9 @@
 //   - re-encode round trips plus a corrupt/truncated corpus: every strict
 //     prefix of every message must throw, never misparse,
 //   - frame I/O over a socketpair: clean EOF vs mid-frame EOF, bad magic/
-//     version/type, checksum mismatch, oversized payload, failpoints,
+//     version/type, every single-bit flip of short payloads and of the
+//     checksum caught, oversized payload, a payload buffer that grows with
+//     the bytes received, failpoints,
 //   - consistent-hash ring properties (determinism, distinct failover
 //     order, minimal disruption on membership change),
 //   - cache snapshot save/load/corruption and restart warm-start,
@@ -18,7 +20,8 @@
 //     retries, and decode errors answered on a connection that stays open,
 //   - Router forwarding, failover to the surviving shard (also when a
 //     reply does not decode), swap broadcast (warm-start section
-//     included), and the server-less admin endpoint,
+//     included), stats naming the warm-start model, and the server-less
+//     admin endpoint,
 //   - the connection server under all three: a closed connection's thread
 //     is released, and a silent admin connection blocks no scrape.
 //
@@ -49,6 +52,7 @@
 
 #include "common/failpoint.h"
 #include "common/hash.h"
+#include "common/rng.h"
 #include "layout/fingerprint.h"
 #include "layout/generator.h"
 #include "net/client.h"
@@ -169,6 +173,7 @@ WorkerStats golden_stats() {
   stats.cache_misses = 11;
   stats.cache_entries = 6;
   stats.queue_depth = 2;
+  stats.warm_start_version = 0x0123456789ABCDEFull;
   return stats;
 }
 
@@ -198,6 +203,14 @@ std::vector<std::uint8_t> deterministic_result_bytes(
   WireWriter w;
   write_result(w, copy);
   return w.take();
+}
+
+/// A "<field>  <n> kB" line of /proc/self/status (VmSize:, VmRSS:), in kB.
+long long status_kb(const std::string& field) {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind(field, 0) == 0) return std::stoll(line.substr(field.size()));
+  return 0;
 }
 
 void send_all(int fd, const std::vector<std::uint8_t>& bytes) {
@@ -295,15 +308,15 @@ TEST(WireGolden, PrimitiveRoundTrip) {
 
 TEST(WireGolden, FrameHeaderLayoutIsPinned) {
   // A kPing frame with an empty payload is exactly the 20-byte header; the
-  // checksum of zero bytes is the FNV-1a offset basis.
+  // checksum of zero bytes is XXH64's empty-input vector.
   const std::vector<std::uint8_t> frame =
       encode_frame(MessageType::kPing, {});
   const std::vector<std::uint8_t> expected = {
       'L',  'D',  'M',  'O',                           // magic
-      0x01, 0x00,                                      // version 1
+      0x02, 0x00,                                      // version 2
       0x03, 0x00,                                      // type kPing
       0x00, 0x00, 0x00, 0x00,                          // payload length
-      0x25, 0x23, 0x22, 0x84, 0xE4, 0x9C, 0xF2, 0xCB,  // fnv1a("") LE
+      0x99, 0xE9, 0xD8, 0x51, 0x37, 0xDB, 0x46, 0xEF,  // XXH64("") LE
   };
   EXPECT_EQ(frame, expected);
 }
@@ -315,10 +328,10 @@ TEST(WireGolden, FrameChecksumCoversPayload) {
   ASSERT_EQ(frame.size(), kFrameHeaderBytes + payload.size());
   WireReader r(frame, "test");
   r.u32();  // magic
-  EXPECT_EQ(r.u16(), kProtocolVersion);
+  EXPECT_EQ(r.u16(), 2u);
   EXPECT_EQ(r.u16(), static_cast<std::uint16_t>(MessageType::kStats));
   EXPECT_EQ(r.u32(), payload.size());
-  EXPECT_EQ(r.u64(), common::fnv1a(payload.data(), payload.size()));
+  EXPECT_EQ(r.u64(), 0x2FF5CFB6AF9AAF68ull);  // XXH64 of the 4 bytes
 }
 
 // --- golden vectors: compound message digests ------------------------------
@@ -326,7 +339,7 @@ TEST(WireGolden, FrameChecksumCoversPayload) {
 // These digests pin the exact encoded bytes of each message built from the
 // golden_* literals above. They fail on ANY codec change — field order,
 // width, added or removed fields. That is the point: the wire format is
-// frozen at version 1; a deliberate format change must bump
+// frozen at version 2; a deliberate format change must bump
 // kProtocolVersion (and these constants) in the same commit.
 
 TEST(WireGolden, LayoutMessageBytesAreStable) {
@@ -362,9 +375,12 @@ TEST(WireGolden, ResponseMessageBytesAreStable) {
 }
 
 TEST(WireGolden, StatsMessageBytesAreStable) {
+  // Version 1's bytes (digest 0x160d0ac1b79ca440) followed by the u64
+  // warm_start_version: FNV-1a continued from that digest over
+  // EF CD AB 89 67 45 23 01 gives this one.
   WireWriter w;
   write_stats(w, golden_stats());
-  EXPECT_EQ(digest_of(w), 0x160d0ac1b79ca440ull)
+  EXPECT_EQ(digest_of(w), 0xbc9929f7ec7282e0ull)
       << "encoded stats bytes changed — wire format break";
 }
 
@@ -535,6 +551,7 @@ TEST(WireCorpus, StatsRoundTripAndCorpus) {
     r.expect_end();
     EXPECT_EQ(decoded.config_fingerprint, 0xdeadbeefcafef00dull);
     EXPECT_EQ(decoded.predictor, "cnn@v3");
+    EXPECT_EQ(decoded.warm_start_version, 0x0123456789ABCDEFull);
     WireWriter again;
     write_stats(again, decoded);
     EXPECT_EQ(again.bytes(), w.bytes());
@@ -701,24 +718,132 @@ TEST_F(NetTest, MidPayloadEofThrows) {
   EXPECT_THROW((void)read_frame(fds.b, "b"), FlowException);
 }
 
+/// What read_frame makes of the next frame on `fd`: "accepted", "eof", or
+/// the message of the FlowException it threw.
+std::string read_verdict(int fd) {
+  try {
+    return read_frame(fd, "b") ? "accepted" : "eof";
+  } catch (const FlowException& e) {
+    return e.what();
+  }
+}
+
+/// n bytes of the checksum reference pattern, b[i] = (i * 131 + 7) & 0xff.
+std::vector<std::uint8_t> pattern_bytes(std::size_t n) {
+  std::vector<std::uint8_t> bytes(n);
+  for (std::size_t i = 0; i < n; ++i)
+    bytes[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  return bytes;
+}
+
 TEST_F(NetTest, BadMagicVersionTypeAndChecksumAreRejected) {
   const std::vector<std::uint8_t> good =
       encode_frame(MessageType::kPong, {7});
   struct Corruption {
     std::size_t offset;
-    const char* what;
+    std::uint8_t value;
+    const char* reason;
   };
-  // magic byte, version byte, type byte (99), payload byte (checksum
-  // mismatch).
+  // Each header field is refused for its own reason: a magic byte, a
+  // version-1 peer, an unknown version, an unknown type (99) and a payload
+  // byte that no longer matches the checksum.
   const std::vector<Corruption> corpus = {
-      {0, "magic"}, {4, "version"}, {6, "type"}, {20, "checksum"}};
+      {0, 'l', "bad magic"},
+      {4, 0x01, "protocol version 1 (this build speaks 2)"},
+      {4, 0x64, "protocol version 100 (this build speaks 2)"},
+      {6, 0x63, "unknown message type 99"},
+      {20, 0x61, "payload checksum mismatch"}};
   for (const Corruption& c : corpus) {
     FdPair fds;
     std::vector<std::uint8_t> bad = good;
-    bad[c.offset] ^= 0x66;
+    bad[c.offset] = c.value;
     send_all(fds.a, bad);
-    EXPECT_THROW((void)read_frame(fds.b, "b"), FlowException) << c.what;
+    const std::string verdict = read_verdict(fds.b);
+    EXPECT_NE(verdict.find(c.reason), std::string::npos)
+        << c.reason << ": " << verdict;
   }
+
+  // Every single-bit flip of the checksum field and of payloads of 1 to 67
+  // bytes (one and two 32-byte stripes, and every 8-, 4- and 1-byte tail)
+  // is a checksum mismatch. read_frame reads a whole frame before it
+  // checks it, so one socketpair stays in step across the corpus.
+  FdPair fds;
+  int flips = 0;
+  int missed = 0;
+  const auto expect_mismatch = [&](const std::string& what) {
+    ++flips;
+    const std::string verdict = read_verdict(fds.b);
+    if (verdict.find("payload checksum mismatch") == std::string::npos &&
+        ++missed <= 5)
+      ADD_FAILURE() << what << ": " << verdict;
+  };
+  const std::size_t checksum_at = kFrameHeaderBytes - 8;
+  for (std::size_t n = 1; n <= 67; ++n) {
+    const std::vector<std::uint8_t> frame =
+        encode_frame(MessageType::kSubmitResponse, pattern_bytes(n));
+    for (std::size_t byte = checksum_at; byte < frame.size(); ++byte)
+      for (int bit = 0; bit < 8; ++bit) {
+        std::vector<std::uint8_t> bad = frame;
+        bad[byte] ^= static_cast<std::uint8_t>(1u << bit);
+        send_all(fds.a, bad);
+        expect_mismatch("bit " + std::to_string(bit) + " of byte " +
+                        std::to_string(byte) + " in a " + std::to_string(n) +
+                        "-byte payload's frame");
+      }
+  }
+  EXPECT_EQ(flips, 67 * 64 + 8 * (67 * 68 / 2));
+
+  // A seeded sample of flips in a cached 64-px response's worth of bytes
+  // (100,560). A second thread sends: one frame outgrows the socket buffer.
+  const std::vector<std::uint8_t> big =
+      encode_frame(MessageType::kSubmitResponse, pattern_bytes(100560));
+  Rng rng(26);
+  std::vector<std::vector<std::uint8_t>> bad_big(32, big);
+  std::vector<std::string> flipped;
+  for (std::vector<std::uint8_t>& bad : bad_big) {
+    const int byte = rng.uniform_int(static_cast<int>(checksum_at),
+                                     static_cast<int>(big.size()) - 1);
+    const int bit = rng.uniform_int(0, 7);
+    bad[static_cast<std::size_t>(byte)] ^= static_cast<std::uint8_t>(1u << bit);
+    flipped.push_back("bit " + std::to_string(bit) + " of byte " +
+                      std::to_string(byte) + " in the 100,560-byte payload");
+  }
+  std::thread sender([&] {
+    for (const std::vector<std::uint8_t>& bad : bad_big) send_all(fds.a, bad);
+  });
+  for (const std::string& what : flipped) expect_mismatch(what);
+  sender.join();
+}
+
+TEST_F(NetTest, PayloadBufferGrowsWithTheBytesNotTheHeaderClaim) {
+  // A header may claim up to 64 MiB. The reader grows its buffer as the
+  // payload arrives, so a header and a few bytes cost about one 1 MiB step
+  // while the reader waits for the rest, not the claim.
+  FdPair fds;
+  WireWriter head;
+  for (char c : kFrameMagic) head.u8(static_cast<std::uint8_t>(c));
+  head.u16(kProtocolVersion);
+  head.u16(static_cast<std::uint16_t>(MessageType::kSwapWeights));
+  head.u32(static_cast<std::uint32_t>(kMaxPayloadBytes));
+  head.u64(0);
+  for (int i = 0; i < 16; ++i) head.u8(0x5A);
+  send_all(fds.a, head.bytes());
+
+  const long long rss_before = status_kb("VmRSS:");
+  std::string verdict;
+  std::thread reader([&] { verdict = read_verdict(fds.b); });
+  long long growth = 0;
+  for (int tick = 0; tick < 10; ++tick) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    growth = std::max(growth, status_kb("VmRSS:") - rss_before);
+  }
+  fds.close_a();  // the rest never comes
+  reader.join();
+  EXPECT_NE(verdict.find("connection closed mid-swap-weights-payload"),
+            std::string::npos)
+      << verdict;
+  EXPECT_LT(growth, 16 * 1024) << "RSS grew " << growth / 1024
+                               << " MB while the reader waited";
 }
 
 TEST_F(NetTest, OversizedPayloadIsRejectedFromTheHeaderAlone) {
@@ -1729,6 +1854,44 @@ TEST_F(NetTest, RouterBroadcastsWarmStartSwaps) {
   }
 }
 
+TEST_F(NetTest, RouterStatsCarryTheWarmStartVersion) {
+  const std::string cnn_staging = "test_net_router_stats_cnn.bin";
+  const std::string warm_staging = "test_net_router_stats_warm.bin";
+  cleanup_.push_back(cnn_staging);
+  cleanup_.push_back(warm_staging);
+  const std::vector<std::uint8_t> cnn_blob = fresh_weights_blob(cnn_staging);
+  const std::vector<std::uint8_t> warm_blob = fresh_warm_blob(warm_staging);
+
+  DaemonConfig dcfg;
+  dcfg.serve = fast_serve_config();
+  dcfg.warm_net.grid_size = 32;
+  ServeDaemon worker_a(dcfg), worker_b(dcfg);
+  RouterConfig rcfg;
+  rcfg.worker_ports = {worker_a.port(), worker_b.port()};
+  Router router(rcfg);
+  Client client(ClientConfig{.port = router.port()});
+  ASSERT_EQ(client.swap_weights(4, cnn_blob), 4u);
+  const WorkerStats before = client.stats();
+  EXPECT_EQ(before.weights_version, 4u);
+  EXPECT_EQ(before.warm_start_version, 0u);
+
+  // A warm-only push: the CNN and its version stay, and the stats name
+  // the MaskNet the workers now run.
+  EXPECT_EQ(client.swap_weights(0, {}, warm_blob), 4u);
+  const WorkerStats after = client.stats();
+  EXPECT_EQ(after.weights_version, 4u);
+  EXPECT_EQ(after.predictor, "cnn@v4");
+  EXPECT_NE(after.warm_start_version, 0u);
+  EXPECT_NE(after.config_fingerprint, before.config_fingerprint);
+  for (ServeDaemon* worker : {&worker_a, &worker_b}) {
+    const std::shared_ptr<serve::Server> server = worker->server();
+    ASSERT_NE(server->config().warm_start, nullptr);
+    EXPECT_EQ(server->warm_start_version(),
+              server->config().warm_start->version());
+    EXPECT_EQ(server->warm_start_version(), after.warm_start_version);
+  }
+}
+
 // --- server-less admin endpoint (the router's scrape target) ----------------
 
 TEST_F(NetTest, ServerlessAdminServesRegistryBackedEndpoints) {
@@ -1774,13 +1937,6 @@ long long guard_pages() {
   return guards;
 }
 
-long long vm_size_kb() {
-  std::ifstream status("/proc/self/status");
-  for (std::string line; std::getline(status, line);)
-    if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
-  return 0;
-}
-
 /// Opens `count` connections to `port` one after another; each pings once
 /// and is closed.
 void ping_and_close(int port, int count) {
@@ -1804,7 +1960,7 @@ TEST(ConnectionThreads, ClosedConnectionsReleaseTheirThreads) {
   ping_and_close(router.port(), 8);
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   const long long guards_before = guard_pages();
-  const long long vm_before = vm_size_kb();
+  const long long vm_before = status_kb("VmSize:");
 
   constexpr int kConnections = 64;
   ping_and_close(daemon.port(), kConnections);
@@ -1823,7 +1979,7 @@ TEST(ConnectionThreads, ClosedConnectionsReleaseTheirThreads) {
   EXPECT_LE(growth, kBound)
       << "after " << 2 * kConnections << " closed connections: " << growth
       << " more thread stacks held, VmSize +"
-      << (vm_size_kb() - vm_before) / 1024 << " MB";
+      << (status_kb("VmSize:") - vm_before) / 1024 << " MB";
 }
 
 TEST(ConnectionThreads, SilentAdminConnectionDoesNotBlockScrapes) {
